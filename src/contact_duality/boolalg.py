@@ -2,8 +2,11 @@
 
 An algebra is the full powerset of a finite atom list.  Elements are plain
 int bit masks over the atoms, so they are hashable values that can be shared
-freely; every operation takes the owning algebra explicitly and validates the
-mask width, which makes accidental mixing of algebras detectable.
+freely.  Mask validation happens in check_element, which every public
+operation calls on each argument: a mask must be a plain int (bool and other
+int subclasses are refused) within the algebra's width, which makes
+accidental mixing of algebras detectable.  The atom count, size and top are
+computed once per algebra, so that check is a few comparisons.
 
 The default atom cap of 24 keeps exhaustive element enumeration feasible in
 tests; the CONTACT_DUALITY_MAX_ATOMS environment variable raises it at the
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import StructureError
@@ -53,22 +57,22 @@ class FiniteBooleanAlgebra:
     def of(*names: str) -> "FiniteBooleanAlgebra":
         return FiniteBooleanAlgebra(tuple(names))
 
-    @property
+    @cached_property
     def atom_count(self) -> int:
         return len(self.atom_names)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 << self.atom_count
 
-    @property
+    @cached_property
     def top(self) -> int:
         return self.size - 1
 
     bottom = 0
 
     def check_element(self, a: int) -> int:
-        if not isinstance(a, int) or a < 0 or a > self.top:
+        if type(a) is not int or a < 0 or a > self.top:
             raise StructureError(f"{a!r} is not an element of a {self.atom_count}-atom algebra")
         return a
 

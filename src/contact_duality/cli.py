@@ -222,6 +222,13 @@ def _region(text: str) -> RationalRegion:
     return RationalRegion.from_text(text)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise StructureError(f"bad rational {text!r}") from exc
+
+
 def cmd_region(args) -> int:
     op = args.operation
     if op in ("union", "meet", "le", "contact", "waybelow", "interpolate"):
@@ -261,7 +268,7 @@ def cmd_region(args) -> int:
     if op == "affine":
         if len(args.operands) != 3:
             raise StructureError("region affine takes a slope, an offset and a region")
-        alpha, beta = Fraction(args.operands[0]), Fraction(args.operands[1])
+        alpha, beta = _rational(args.operands[0]), _rational(args.operands[1])
         out = affine_preimage(alpha, beta, _region(args.operands[2]))
         _emit(args, jsonio.region_to_json(out), out.to_text())
         return EXIT_OK
@@ -375,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_cap = os.environ.get(MAX_ATOMS_ENV)
     if getattr(args, "max_atoms", None) is not None:
         os.environ[MAX_ATOMS_ENV] = str(args.max_atoms)
     try:
@@ -392,6 +400,11 @@ def main(argv=None) -> int:
     except ContactDualityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STRUCTURE
+    finally:
+        if previous_cap is None:
+            os.environ.pop(MAX_ATOMS_ENV, None)
+        else:
+            os.environ[MAX_ATOMS_ENV] = previous_cap
 
 
 if __name__ == "__main__":

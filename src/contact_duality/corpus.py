@@ -13,6 +13,7 @@ from itertools import product
 from .boolalg import FiniteBooleanAlgebra
 from .contact import ContactRelation, overlap_contact
 from .duality import AlgebraMorphism, dual_of_map, regularize
+from .errors import StructureError
 from .localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
 from .spaces import FiniteSpace, SpaceMap, discrete_space
 
@@ -22,8 +23,15 @@ _NAMES = "pqrstuvwxyz"
 _POINTS = "abcdefgh"
 
 
+def _first(letters: str, n: int) -> tuple[str, ...]:
+    """The first n letters as names; refuses n beyond the letters at hand."""
+    if not 0 <= n <= len(letters):
+        raise StructureError(f"corpus names cover 0 to {len(letters)} items, not {n}")
+    return tuple(letters[:n])
+
+
 def small_algebra(n: int) -> FiniteBooleanAlgebra:
-    return FiniteBooleanAlgebra(tuple(_NAMES[:n]))
+    return FiniteBooleanAlgebra(_first(_NAMES, n))
 
 
 def atom_relations(n: int) -> list[ContactRelation]:
@@ -83,12 +91,12 @@ def overlap_structures_with_proper_ideal(n: int) -> list[LocalContactAlgebra]:
 
 
 def discrete(n: int) -> FiniteSpace:
-    return discrete_space(_POINTS[:n])
+    return discrete_space(_first(_POINTS, n))
 
 
 def all_preorder_spaces(n: int) -> list[FiniteSpace]:
     """All labeled finite spaces on n points, via reflexive transitive relations."""
-    names = tuple(_POINTS[:n])
+    names = _first(_POINTS, n)
     cells = [(x, y) for x in range(n) for y in range(n) if x != y]
     spaces = []
     for choice in range(1 << len(cells)):
@@ -112,7 +120,7 @@ def all_preorder_spaces(n: int) -> list[FiniteSpace]:
 def sampled_preorder_spaces(n: int, count: int, seed: int = CORPUS_SEED) -> list[FiniteSpace]:
     """Seeded sample of labeled spaces, via transitive closures of random relations."""
     rng = random.Random(seed)
-    names = tuple(_POINTS[:n])
+    names = _first(_POINTS, n)
     seen = set()
     spaces = []
     while len(spaces) < count:

@@ -21,7 +21,6 @@ from .localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
     alexandroff_extension,
-    check_lca_axioms,
 )
 from .report import Report, Violation
 from .spaces import (
@@ -188,11 +187,18 @@ def dual_space(structure: LocalContactAlgebra, *, validate: bool = True) -> Dual
     of unbounded elements is set aside; with the improper ideal every cluster
     is a point.  validate=False skips the boundedness-axiom gate so that the
     construction can be explored on structures that fail it.
+
+    The dual space and the BC report are built once per structure object and
+    kept on it (LocalContactAlgebra.dual, .bc_report): repeated calls return
+    the same DualSpace, and a structure failing the axioms is refused on every
+    validated call, whatever unvalidated calls came before.
     """
-    if validate:
-        report = check_lca_axioms(structure)
-        if not report.ok:
-            raise Refusal("dual space requires the boundedness axioms", report)
+    if validate and not structure.bc_report.ok:
+        raise Refusal("dual space requires the boundedness axioms", structure.bc_report)
+    return structure.dual
+
+
+def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
     alg = structure.algebra
     extension = alexandroff_extension(structure)
     everything = grill_clusters(extension)
@@ -315,8 +321,13 @@ def point_embedding(space: FiniteSpace) -> PointEmbedding:
     For a Hausdorff (hence discrete) finite space the map is matched against
     the dual space and certified a homeomorphism.  Other spaces still get the
     per-point tables, but no claim is made: the certificate is withheld with a
-    note instead of being faked.
+    note instead of being faked.  Computed once per space object and kept on
+    it (FiniteSpace.embedding).
     """
+    return space.embedding
+
+
+def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
     rc = rc_algebra(space)
     sigma = tuple(
         frozenset(e for e in rc.algebra.elements() if rc.to_pointset(e) >> x & 1)
@@ -444,9 +455,9 @@ def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
     if not pal.ok:
         raise Refusal("closed embedding test requires a morphism", pal)
     for side in (phi.source, phi.target):
-        gate = check_lca_axioms(side)
-        if not gate.ok:
-            raise Refusal("closed embedding test requires validated structures", gate)
+        if not side.bc_report.ok:
+            raise Refusal("closed embedding test requires validated structures",
+                          side.bc_report)
 
     A = phi.target.algebra
     B = phi.source.algebra

@@ -6,12 +6,15 @@ properties need no maintenance.
 
 Validity (the three boundedness axioms) is checked by check_lca_axioms, never
 assumed by construction: several operations here are defined for arbitrary
-(contact, ideal) pairs and the tests deliberately probe invalid ones.
+(contact, ideal) pairs and the tests deliberately probe invalid ones.  A
+structure is a frozen value, so its BC report and its dual space are computed
+once per structure object and kept on it; the gates read the kept report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .boolalg import FiniteBooleanAlgebra
 from .contact import ContactRelation, ElementContact, check_axioms, overlap_contact
@@ -60,6 +63,18 @@ class LocalContactAlgebra:
     @property
     def improper(self) -> bool:
         return self.ideal.improper
+
+    @cached_property
+    def bc_report(self) -> Report:
+        """check_lca_axioms of this structure, computed once."""
+        return check_lca_axioms(self)
+
+    @cached_property
+    def dual(self):
+        """Dual space, built once without the BC gate; see duality.dual_space."""
+        from .duality import _build_dual_space
+
+        return _build_dual_space(self)
 
 
 def nca_as_lca(contact: ContactRelation) -> LocalContactAlgebra:
@@ -181,10 +196,8 @@ def overlap_companion(
     """
     from .duality import AlgebraMorphism
 
-    if validate:
-        report = check_lca_axioms(structure)
-        if not report.ok:
-            raise Refusal("input fails the boundedness axioms", report)
+    if validate and not structure.bc_report.ok:
+        raise Refusal("input fails the boundedness axioms", structure.bc_report)
     alg = structure.algebra
     ideal = BoundedIdeal(alg, alg.top) if improper_target else structure.ideal
     companion = LocalContactAlgebra(overlap_contact(alg), ideal)

@@ -8,7 +8,10 @@ element encoding of the Boolean algebra kernel.
 The regular closed sets of a finite space form a Boolean algebra carrying the
 standard contact relation (nonempty intersection); rc_algebra materializes it
 over its atoms and exports the contact relation in atom-backed form, which is
-what the duality machinery consumes.
+what the duality machinery consumes.  Spaces are frozen values, so the
+regular closed algebra and the point embedding are built once per space object
+and kept on it (FiniteSpace.rc, FiniteSpace.embedding); they are dropped with
+the space.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class FiniteSpace:
         return (1 << self.point_count) - 1
 
     def check_set(self, m: int) -> int:
-        if not isinstance(m, int) or m < 0 or m > self.everything:
+        if type(m) is not int or m < 0 or m > self.everything:
             raise StructureError(f"{m!r} is not a point set of this space")
         return m
 
@@ -105,6 +108,18 @@ class FiniteSpace:
     @cached_property
     def closed_sets(self) -> tuple[int, ...]:
         return tuple(m for m in range(self.everything + 1) if self.is_closed(m))
+
+    @cached_property
+    def rc(self) -> "RegularClosedAlgebra":
+        """Regular closed algebra, built and verified once; see rc_algebra."""
+        return _build_rc_algebra(self)
+
+    @cached_property
+    def embedding(self):
+        """Point embedding into the dual space; see duality.point_embedding."""
+        from .duality import _build_point_embedding
+
+        return _build_point_embedding(self)
 
     def subspace(self, subset: int) -> "FiniteSpace":
         """Induced space on a nonempty point subset."""
@@ -282,6 +297,12 @@ class RegularClosedAlgebra:
         return out
 
     def lca(self) -> LocalContactAlgebra:
+        """The structure with the improper ideal, the same object on every call,
+        so that its cached BC report and dual space are shared."""
+        return self._lca
+
+    @cached_property
+    def _lca(self) -> LocalContactAlgebra:
         return LocalContactAlgebra(self.contact, BoundedIdeal(self.algebra, self.algebra.top))
 
     # point-set operations of the regular closed algebra
@@ -298,7 +319,16 @@ def regular_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
 
 
 def rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
-    """Build the regular closed algebra with its standard contact relation.
+    """The regular closed algebra with its standard contact relation.
+
+    Built once per space object and kept on it (FiniteSpace.rc), so repeated
+    calls return the same algebra and its table verification runs once.
+    """
+    return space.rc
+
+
+def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
+    """Build the regular closed algebra.
 
     Enumerates the fixpoints of closure-of-interior, takes the minimal
     nonzero ones as atoms, and checks the carrier really is the powerset of

@@ -70,6 +70,24 @@ def test_width_mismatch_is_structural(pq):
         pq.check_element(-1)
 
 
+def test_bool_is_not_an_element(pq):
+    from contact_duality.localcontact import BoundedIdeal
+    for flag in (True, False):
+        with pytest.raises(StructureError):
+            pq.check_element(flag)
+        with pytest.raises(StructureError):
+            pq.join(flag, 0)
+        with pytest.raises(StructureError):
+            BoundedIdeal(pq, flag)
+
+
+def test_sizes_stay_out_of_equality_and_repr(pq):
+    fresh = FiniteBooleanAlgebra.of("p", "q")
+    assert (pq.atom_count, pq.size, pq.top) == (2, 4, 3)
+    assert fresh == pq and hash(fresh) == hash(pq)
+    assert repr(fresh) == repr(pq) == "FiniteBooleanAlgebra(atom_names=('p', 'q'))"
+
+
 def test_names_round_trip(pq):
     for a in pq.elements():
         assert pq.element_of_names(pq.names_of(a)) == a

@@ -188,6 +188,12 @@ class TestRegionVerb:
         code, _, err = run(capsys, "region", "union", "[0,1]")
         assert code == 2
 
+    def test_affine_with_a_bad_slope_or_offset_exits_two(self, capsys):
+        for operands in (("x", "0"), ("1/0", "0"), ("1", "y"), ("1", "2/0")):
+            code, out, err = run(capsys, "region", "affine", "--", *operands, "[0,1]")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad rational") and "Traceback" not in err
+
 
 class TestDeterminismAndRoundTrip:
     def test_json_round_trip_of_every_data_file(self):
@@ -233,7 +239,19 @@ class TestCapOverride:
         code, out, _ = run(capsys, "clusters", str(path), "--max-atoms", "30")
         assert code == 0
         assert out.count("cluster ") == 25
+
+    def test_max_atoms_flag_does_not_outlive_the_call(self, capsys, tmp_path, monkeypatch):
+        import os
+
+        from contact_duality.boolalg import MAX_ATOMS_ENV, atom_cap
         monkeypatch.delenv(MAX_ATOMS_ENV, raising=False)
+        before = dict(os.environ)
+        assert run(capsys, "region", "bounded", "[0,1]", "--max-atoms", "3")[0] == 0
+        assert dict(os.environ) == before
+        assert atom_cap() == 24
+        monkeypatch.setenv(MAX_ATOMS_ENV, "20")
+        assert run(capsys, "validate", str(tmp_path / "missing.json"), "--max-atoms", "3")[0] == 2
+        assert os.environ[MAX_ATOMS_ENV] == "20"
 
 
 class TestParserRejections:

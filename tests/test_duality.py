@@ -106,6 +106,38 @@ class TestDualSpace:
         with pytest.raises(Refusal):
             dual_space(proper_overlap(2, 0b01))
 
+    def test_built_once_per_structure(self):
+        for n in (1, 2, 3):
+            s = improper_overlap(n)
+            assert dual_space(s) is dual_space(s)
+            assert dual_space(s, validate=False) is dual_space(s)
+
+    def test_refusal_repeats_and_survives_an_unvalidated_call(self):
+        s = proper_overlap(2, 0b01)
+        for _ in range(2):
+            with pytest.raises(Refusal) as raised:
+                dual_space(s)
+            assert "BC3" in raised.value.report.render()
+        assert dual_space(s, validate=False).case == "local"
+        with pytest.raises(Refusal):
+            dual_space(s)
+        fresh = proper_overlap(2, 0b01)
+        dual_space(fresh, validate=False)
+        with pytest.raises(Refusal):
+            dual_space(fresh)
+
+    def test_equal_copies_give_equal_duals(self):
+        for n in (1, 2, 3):
+            for s in validated_structures(n):
+                copy = LocalContactAlgebra(s.contact, BoundedIdeal(s.algebra, s.ideal.generator))
+                assert copy is not s and copy == s
+                ours, theirs = dual_space(s), dual_space(copy)
+                assert ours is not theirs
+                assert (ours.space, ours.regions, ours.case) == \
+                    (theirs.space, theirs.regions, theirs.case)
+                assert [c.support for c in ours.clusters] == \
+                    [c.support for c in theirs.clusters]
+
     def test_local_case_drops_the_infinity_cluster(self):
         s = proper_overlap(2, 0b01)
         dual = dual_space(s, validate=False)
@@ -156,6 +188,21 @@ class TestPointEmbedding:
         assert any("not asserted" in note for note in emb.report.notes)
         # the per-point tables are still computed
         assert emb.sigma[0] == emb.sigma[1]
+
+    def test_built_once_per_space(self):
+        for space in (discrete(3), FiniteSpace(("a", "b"), (0b01, 0b11))):
+            emb = point_embedding(space)
+            assert point_embedding(space) is emb
+            assert emb.rc is rc_algebra(space)
+        space = discrete(2)
+        assert point_embedding(space).dual is dual_space(rc_algebra(space).lca())
+
+    def test_equal_copies_give_equal_embeddings(self):
+        for n in (1, 2, 3):
+            ours, theirs = point_embedding(discrete(n)), point_embedding(discrete(n))
+            assert ours is not theirs
+            assert (ours.map, ours.sigma, ours.homeomorphism, ours.report) == \
+                (theirs.map, theirs.sigma, theirs.homeomorphism, theirs.report)
 
 
 class TestDualOfMap:

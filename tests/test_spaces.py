@@ -58,6 +58,13 @@ class TestSpaceBasics:
         with pytest.raises(StructureError):
             sierpinski.check_set(0b100)
 
+    def test_bool_is_not_a_point_set(self, sierpinski):
+        for flag in (True, False):
+            with pytest.raises(StructureError):
+                sierpinski.check_set(flag)
+            with pytest.raises(StructureError):
+                sierpinski.closure(flag)
+
 
 class TestRegularClosed:
     def test_discrete_two_points_full_powerset(self):
@@ -106,6 +113,33 @@ class TestRegularClosed:
             assert rc.contact.rows == tuple(1 << i for i in range(n))
             supports = [c.support for c in enumerate_clusters(rc.contact)]
             assert supports == [1 << i for i in range(n)]
+
+
+class TestRegularClosedCache:
+    def test_built_once_per_space(self, sierpinski):
+        for space in (sierpinski, discrete_space("abc")):
+            rc = rc_algebra(space)
+            assert rc_algebra(space) is rc
+            assert rc.lca() is rc.lca()
+
+    def test_equal_copies_give_equal_algebras(self):
+        for space in all_preorder_spaces(3):
+            copy = FiniteSpace(space.points, space.min_nbhd)
+            assert copy is not space and copy == space
+            assert rc_algebra(copy) == rc_algebra(space)
+            assert rc_algebra(copy).lca() == rc_algebra(space).lca()
+
+    def test_cache_stays_out_of_equality_and_repr(self, sierpinski):
+        fresh = FiniteSpace(sierpinski.points, sierpinski.min_nbhd)
+        rc_algebra(sierpinski)
+        assert fresh == sierpinski and hash(fresh) == hash(sierpinski)
+        assert repr(fresh) == repr(sierpinski)
+
+    def test_cap_refusal_repeats(self):
+        big = discrete_space(tuple(f"x{i}" for i in range(17)))
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                rc_algebra(big)
 
 
 class TestRegularOpen:
