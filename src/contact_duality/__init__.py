@@ -65,7 +65,6 @@ from .report import Report, Violation
 from .spaces import (
     FiniteSpace,
     SpaceMap,
-    closure_interior,
     dense_subspace_isomorphism,
     discrete_space,
     map_predicates,

@@ -388,15 +388,10 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except Refusal as exc:
-        message = {"error": str(exc)}
         if exc.report is not None:
-            message["reports"] = [exc.report.to_json()]
             sys.stderr.write(exc.report.render() + "\n")
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_VIOLATIONS
-    except StructureError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STRUCTURE
     except ContactDualityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STRUCTURE

@@ -155,10 +155,6 @@ def all_maps(source: FiniteSpace, target: FiniteSpace) -> list[SpaceMap]:
     ]
 
 
-def identity_table(structure: LocalContactAlgebra) -> AlgebraMorphism:
-    return AlgebraMorphism(structure, structure, tuple(structure.algebra.elements()))
-
-
 def constant_to_one(source: LocalContactAlgebra, target: LocalContactAlgebra) -> AlgebraMorphism:
     """Zero goes to zero, everything else to the top of the target."""
     table = tuple(0 if a == 0 else target.algebra.top for a in source.algebra.elements())

@@ -7,8 +7,9 @@ properties need no maintenance.
 Validity (the three boundedness axioms) is checked by check_lca_axioms, never
 assumed by construction: several operations here are defined for arbitrary
 (contact, ideal) pairs and the tests deliberately probe invalid ones.  A
-structure is a frozen value, so its BC report and its dual space are computed
-once per structure object and kept on it; the gates read the kept report.
+structure is a frozen value, so its BC report, its dual space and its
+double-dual certificate are computed once per structure object and kept on
+it; the gates read the kept report.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ class LocalContactAlgebra:
         from .duality import _build_dual_space
 
         return _build_dual_space(self)
+
+    @cached_property
+    def double_dual(self) -> Report:
+        """verify_double_dual of this structure and its dual, computed once;
+        callers apply the BC gate first (see duality.roundtrip_report)."""
+        from .duality import verify_double_dual
+
+        return verify_double_dual(self, self.dual)
 
 
 def nca_as_lca(contact: ContactRelation) -> LocalContactAlgebra:

@@ -12,12 +12,18 @@ what the duality machinery consumes.  Spaces are frozen values, so the
 regular closed algebra and the point embedding are built once per space object
 and kept on it (FiniteSpace.rc, FiniteSpace.embedding); they are dropped with
 the space.
+
+Every claim that a map is a Boolean isomorphism (preserving contact where
+that is claimed too) goes through first_law_violation, which walks the laws
+in one fixed order so that every certificate reports the same least witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .boolalg import FiniteBooleanAlgebra
 from .contact import ContactRelation
@@ -54,11 +60,11 @@ class FiniteSpace:
                         f"neighbourhoods of {self.points[x]!r} and {self.points[y]!r} "
                         "do not generate a topology")
 
-    @property
+    @cached_property
     def point_count(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def everything(self) -> int:
         return (1 << self.point_count) - 1
 
@@ -155,10 +161,6 @@ class FiniteSpace:
             if m >> k & 1:
                 out |= 1 << i
         return out
-
-
-def closure_interior(space: FiniteSpace, m: int) -> tuple[int, int]:
-    return space.closure(m), space.interior(m)
 
 
 def discrete_space(names) -> FiniteSpace:
@@ -261,6 +263,49 @@ def map_predicates(f: SpaceMap) -> MapPredicates:
     return MapPredicates(continuous, closed, continuous and closed, injective, surjective, dense)
 
 
+class BooleanOps(NamedTuple):
+    """The operations a Boolean isomorphism preserves; contact is optional."""
+
+    join: Callable[[int, int], int]
+    meet: Callable[[int, int], int]
+    complement: Callable[[int], int]
+    contact: Callable[[int, int], bool] | None = None
+
+
+def element_ops(contact: ContactRelation) -> BooleanOps:
+    """Operations on the element masks of a contact relation's algebra."""
+    return BooleanOps(operator.or_, operator.and_, contact.algebra.complement, contact.contact)
+
+
+def first_law_violation(domain, image, source: BooleanOps, target: BooleanOps,
+                        name) -> Violation | None:
+    """Least failure of image, a table over domain, to preserve the operations.
+
+    domain is walked in ascending order: for each x, every pair (x, y) is
+    checked for join, meet and then contact (when source has a contact),
+    after which the complement of x is checked.  The first failure is
+    returned with its arguments named by name; None means every law holds.
+    Bijectivity is not checked here: each caller prechecks it in its own
+    terms.
+    """
+    domain = tuple(domain)
+    join, meet, complement, contact = source
+    t_join, t_meet, t_complement, t_contact = target
+    for x in domain:
+        fx = image[x]
+        for y in domain:
+            fy = image[y]
+            if image[join(x, y)] != t_join(fx, fy):
+                return Violation("join", (name(x), name(y)))
+            if image[meet(x, y)] != t_meet(fx, fy):
+                return Violation("meet", (name(x), name(y)))
+            if contact is not None and contact(x, y) != t_contact(fx, fy):
+                return Violation("contact", (name(x), name(y)))
+        if image[complement(x)] != t_complement(fx):
+            return Violation("complement", (name(x),))
+    return None
+
+
 @dataclass(frozen=True)
 class RegularClosedAlgebra:
     """The regular closed sets of a space as an atom-backed contact structure.
@@ -311,6 +356,13 @@ class RegularClosedAlgebra:
 
     def complement_set(self, f: int) -> int:
         return self.space.closure(self.space.everything ^ f)
+
+    def in_contact(self, f: int, g: int) -> bool:
+        return bool(f & g)
+
+    @property
+    def set_ops(self) -> BooleanOps:
+        return BooleanOps(operator.or_, self.meet_sets, self.complement_set, self.in_contact)
 
 
 def regular_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
@@ -374,24 +426,28 @@ def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
     return rc
 
 
+_RC_TABLE_ERRORS = {
+    "join": "join disagrees with union",
+    "meet": "meet disagrees with closure of interior of intersection",
+    "contact": "lifted contact disagrees with intersection",
+    "complement": "complement disagrees with closure of the set complement",
+}
+
+
 def _verify_rc_tables(rc: RegularClosedAlgebra) -> None:
-    """Cross-check algebra operations against the point-set definitions."""
-    for e in rc.algebra.elements():
-        f = rc.to_pointset(e)
+    """Cross-check algebra operations against the point-set definitions.
+
+    The atom-union table must land in the regular closed carrier, and must
+    pass first_law_violation against the point-set operations.
+    """
+    pointsets = [rc.to_pointset(e) for e in rc.algebra.elements()]
+    for f in pointsets:
         if rc.space.closure(rc.space.interior(f)) != f:
             raise StructureError("atom union escaped the regular closed carrier")
-    for e1 in rc.algebra.elements():
-        f1 = rc.to_pointset(e1)
-        for e2 in rc.algebra.elements():
-            f2 = rc.to_pointset(e2)
-            if rc.to_pointset(e1 | e2) != f1 | f2:
-                raise StructureError("join disagrees with union")
-            if rc.to_pointset(rc.algebra.meet(e1, e2)) != rc.meet_sets(f1, f2):
-                raise StructureError("meet disagrees with closure of interior of intersection")
-            if rc.contact.contact(e1, e2) != bool(f1 & f2):
-                raise StructureError("lifted contact disagrees with intersection")
-        if rc.to_pointset(rc.algebra.complement(e1)) != rc.complement_set(f1):
-            raise StructureError("complement disagrees with closure of the set complement")
+    law = first_law_violation(range(len(pointsets)), pointsets, element_ops(rc.contact),
+                              rc.set_ops, rc.algebra.names_of)
+    if law is not None:
+        raise StructureError(_RC_TABLE_ERRORS[law.axiom])
 
 
 @dataclass(frozen=True)
@@ -412,46 +468,32 @@ class RegularOpenAlgebra:
     def in_contact(self, u: int, v: int) -> bool:
         return bool(self.space.closure(u) & self.space.closure(v))
 
+    @property
+    def set_ops(self) -> BooleanOps:
+        return BooleanOps(self.join_sets, operator.and_, self.complement_set, self.in_contact)
+
 
 def ro_algebra(space: FiniteSpace) -> RegularOpenAlgebra:
     """Regular open algebra and its canonical isomorphism onto regular closed.
 
     The map sends a regular open set to its closure.  The certificate records
-    bijectivity, preservation of the Boolean operations, and agreement of the
-    two contact relations; it is empty for every finite space.
+    bijectivity and then the first law the map breaks (first_law_violation:
+    the Boolean operations, then agreement of the two contact relations); it
+    is empty for every finite space.
     """
     if space.point_count > RC_POINT_CAP:
         raise CapExceeded(f"regular open enumeration capped at {RC_POINT_CAP} points")
     cl, iv = space.closure, space.interior
     carrier = tuple(m for m in range(space.everything + 1) if iv(cl(m)) == m)
-    to_closed = {u: cl(u) for u in carrier}
+    subject = "regular open to regular closed isomorphism"
+    ro = RegularOpenAlgebra(space, carrier, {u: cl(u) for u in carrier}, Report(subject))
 
-    violations = []
-    closed_side = regular_closed_sets(space)
-    if sorted(to_closed.values()) != sorted(closed_side):
-        violations.append(Violation("bijection"))
-    for u in carrier:
-        for v in carrier:
-            join = iv(cl(u | v))
-            if to_closed[join] != to_closed[u] | to_closed[v]:
-                violations.append(
-                    Violation("join", (space.names_of(u), space.names_of(v))))
-            meet = u & v
-            if to_closed[meet] != cl(iv(to_closed[u] & to_closed[v])):
-                violations.append(
-                    Violation("meet", (space.names_of(u), space.names_of(v))))
-            if bool(cl(u) & cl(v)) != bool(to_closed[u] & to_closed[v]):
-                violations.append(
-                    Violation("contact", (space.names_of(u), space.names_of(v))))
-            if violations:
-                break
-        if violations:
-            break
-        if to_closed[iv(space.everything ^ u)] != cl(space.everything ^ to_closed[u]):
-            violations.append(Violation("complement", (space.names_of(u),)))
-            break
-    report = Report("regular open to regular closed isomorphism", tuple(violations))
-    return RegularOpenAlgebra(space, carrier, to_closed, report)
+    rc = rc_algebra(space)
+    if sorted(ro.to_closed.values()) != sorted(rc.carrier):
+        law = Violation("bijection")
+    else:
+        law = first_law_violation(carrier, ro.to_closed, ro.set_ops, rc.set_ops, space.names_of)
+    return ro if law is None else replace(ro, certificate=Report(subject, (law,)))
 
 
 @dataclass(frozen=True)
@@ -476,35 +518,20 @@ class DenseSubspaceIso:
 def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspaceIso:
     """Build the trace/closure isomorphism pair for a dense point subset.
 
-    Refuses when the subset is not dense.  The certificate checks that the
-    two maps are mutually inverse bijections preserving join, meet and
-    complement.
+    Refuses when the subset is not dense, and (as rc_algebra does) spaces
+    beyond RC_POINT_CAP points.  The certificate checks that the two maps are
+    mutually inverse bijections, then that restrict preserves join, meet and
+    complement (first_law_violation).
     """
     space.check_set(subset)
     if space.closure(subset) != space.everything:
         raise Refusal("subset is not dense, so the trace maps need not be isomorphisms")
     sub = space.subspace(subset)
-    big_rc = regular_closed_sets(space)
-    small_rc = regular_closed_sets(sub)
+    big, small = rc_algebra(space), rc_algebra(sub)
+    big_rc, small_rc = big.carrier, small.carrier
 
-    kept = [i for i in range(space.point_count) if subset >> i & 1]
-
-    def to_sub(m: int) -> int:
-        out = 0
-        for k, i in enumerate(kept):
-            if m >> i & 1:
-                out |= 1 << k
-        return out
-
-    def to_big(m: int) -> int:
-        out = 0
-        for k, i in enumerate(kept):
-            if m >> k & 1:
-                out |= 1 << i
-        return out
-
-    restrict = {f: to_sub(f & subset) for f in big_rc}
-    extend = {g: space.closure(to_big(g)) for g in small_rc}
+    restrict = {f: space.restrict_set(subset, f) for f in big_rc}
+    extend = {g: space.closure(space.embed_set(subset, g)) for g in small_rc}
 
     violations = []
     if sorted(restrict.values()) != sorted(small_rc):
@@ -521,23 +548,10 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
                 violations.append(Violation("restrict-extend", (sub.names_of(g),)))
                 break
     if not violations:
-        for f in big_rc:
-            for g in big_rc:
-                if restrict[f | g] != restrict[f] | restrict[g]:
-                    violations.append(Violation("join", (space.names_of(f), space.names_of(g))))
-                    break
-                meet_big = space.closure(space.interior(f & g))
-                meet_small = sub.closure(sub.interior(restrict[f] & restrict[g]))
-                if restrict[meet_big] != meet_small:
-                    violations.append(Violation("meet", (space.names_of(f), space.names_of(g))))
-                    break
-            else:
-                comp_big = space.closure(space.everything ^ f)
-                comp_small = sub.closure(sub.everything ^ restrict[f])
-                if restrict[comp_big] != comp_small:
-                    violations.append(Violation("complement", (space.names_of(f),)))
-                    break
-                continue
-            break
+        # a trace need not keep two closed sets meeting, so contact is not claimed
+        law = first_law_violation(big_rc, restrict, big.set_ops._replace(contact=None),
+                                  small.set_ops, space.names_of)
+        if law is not None:
+            violations.append(law)
     report = Report("dense subspace isomorphism", tuple(violations))
     return DenseSubspaceIso(space, sub, subset, restrict, extend, report)

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+import contact_duality.duality as duality_module
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.clusters import grill_clusters
 from contact_duality.contact import check_axioms, overlap_contact
@@ -171,6 +173,46 @@ class TestDualSpace:
                                     family.add(h)
                                     changed = True
                 assert family == set(dual.space.closed_sets)
+
+
+def tampered_dual(n, moves):
+    """The overlap structure on n atoms and its dual with some regions moved.
+
+    The untouched table sends each element to the mask with the same bits.
+    moves maps an element to the region it now gets; every move keeps the
+    table a bijection onto the regular closed sets, so only the Boolean laws
+    and contact can fail.
+    """
+    s = improper_overlap(n)
+    dual = dual_space(s)
+    assert dual.regions == tuple(range(s.algebra.size))
+    regions = list(dual.regions)
+    for a, region in moves.items():
+        regions[a] = region
+    assert sorted(regions) == sorted(dual.regions)
+    return s, dataclasses.replace(dual, regions=tuple(regions))
+
+
+class TestDoubleDualWitnesses:
+    """Least witnesses of the double-dual certificate on tampered tables."""
+
+    @pytest.mark.parametrize("n, moves, law, witness", [
+        # p and q swapped: the first pair whose join leaves the table is (p, r)
+        (3, {1: 2, 2: 1}, "join", (("p",), ("r",))),
+        # p gets the region of p+q and q that of q+r: joins still land, but
+        # the two regions overlap although p and q do not
+        (4, {1: 3, 2: 6, 3: 7, 6: 1, 7: 2}, "meet", (("p",), ("q",))),
+        # the bottom gets a nonempty region, which touches itself
+        (3, {0: 1, 1: 0}, "contact", ((), ())),
+        # the top no longer goes to the whole space
+        (3, {1: 7, 7: 1}, "complement", ((),)),
+    ])
+    def test_first_failing_law_and_its_witness(self, n, moves, law, witness):
+        s, dual = tampered_dual(n, moves)
+        report = verify_double_dual(s, dual)
+        assert report.subject == "double dual isomorphism"
+        assert [(v.axiom, v.witness) for v in report.violations] == [(law, witness)]
+        assert report.notes == verify_double_dual(s, dual_space(s)).notes
 
 
 class TestPointEmbedding:
@@ -554,6 +596,28 @@ class TestRoundTrips:
     def test_unknown_item_rejected(self):
         with pytest.raises(StructureError):
             roundtrip_report(42)
+
+    def test_double_dual_certified_once_per_structure(self, monkeypatch):
+        calls = []
+        original = duality_module.verify_double_dual
+
+        def counting(structure, dual):
+            calls.append(structure)
+            return original(structure, dual)
+
+        monkeypatch.setattr(duality_module, "verify_double_dual", counting)
+        s = improper_overlap(3)
+        reports = [roundtrip_report(s) for _ in range(3)]
+        assert len(calls) == 1
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].ok
+
+    def test_structure_failing_boundedness_refused_on_every_call(self):
+        s = proper_overlap(2, 0b01)
+        assert not s.double_dual.ok  # the kept certificate does not open the gate
+        for _ in range(3):
+            with pytest.raises(Refusal):
+                roundtrip_report(s)
 
 
 class TestConnectednessCorrespondence:

@@ -1,12 +1,13 @@
+import dataclasses
+
 import pytest
 
-from contact_duality.contact import check_axioms
+from contact_duality.contact import ContactRelation, check_axioms
 from contact_duality.corpus import all_maps, all_preorder_spaces, sampled_preorder_spaces
 from contact_duality.errors import CapExceeded, Refusal, StructureError
 from contact_duality.spaces import (
     FiniteSpace,
     SpaceMap,
-    closure_interior,
     dense_subspace_isomorphism,
     discrete_space,
     map_predicates,
@@ -15,6 +16,7 @@ from contact_duality.spaces import (
     ro_algebra,
     space_predicates,
 )
+from contact_duality.spaces import _verify_rc_tables
 
 
 @pytest.fixture
@@ -25,13 +27,14 @@ def sierpinski():
 class TestSpaceBasics:
     def test_whole_space_is_clopen(self):
         for space in all_preorder_spaces(3):
-            assert closure_interior(space, space.everything) == (
-                space.everything, space.everything)
+            assert space.closure(space.everything) == space.everything
+            assert space.interior(space.everything) == space.everything
 
     def test_discrete_closure_and_interior_are_identity(self):
         space = discrete_space("abc")
         for m in range(space.everything + 1):
-            assert closure_interior(space, m) == (m, m)
+            assert space.closure(m) == m
+            assert space.interior(m) == m
 
     def test_sierpinski_closure_of_open_point(self, sierpinski):
         assert sierpinski.closure(0b01) == 0b11
@@ -132,6 +135,7 @@ class TestRegularClosedCache:
     def test_cache_stays_out_of_equality_and_repr(self, sierpinski):
         fresh = FiniteSpace(sierpinski.points, sierpinski.min_nbhd)
         rc_algebra(sierpinski)
+        assert (sierpinski.point_count, sierpinski.everything) == (2, 0b11)
         assert fresh == sierpinski and hash(fresh) == hash(sierpinski)
         assert repr(fresh) == repr(sierpinski)
 
@@ -140,6 +144,25 @@ class TestRegularClosedCache:
         for _ in range(2):
             with pytest.raises(CapExceeded):
                 rc_algebra(big)
+
+
+class TestRegularClosedTableCheck:
+    """The table check of rc_algebra, run on tampered algebras of two points.
+
+    An atom-union table always preserves join, so join cannot be made to fail.
+    """
+
+    @pytest.mark.parametrize("atoms, rows, message", [
+        ((0b01, 0b11), None, "meet disagrees with closure of interior of intersection"),
+        ((0b01, 0b10), (0b11, 0b11), "lifted contact disagrees with intersection"),
+        ((0b01, 0b01), None, "complement disagrees with closure of the set complement"),
+    ])
+    def test_tampered_algebra_is_refused(self, atoms, rows, message):
+        rc = rc_algebra(discrete_space("ab"))
+        contact = rc.contact if rows is None else ContactRelation(rc.algebra, rows)
+        tampered = dataclasses.replace(rc, atoms=atoms, contact=contact)
+        with pytest.raises(StructureError, match=message):
+            _verify_rc_tables(tampered)
 
 
 class TestRegularOpen:
