@@ -9,6 +9,7 @@ Reports are printed as text by default and as machine-readable JSON with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -28,7 +29,7 @@ from .duality import (
 )
 from .errors import ContactDualityError, Refusal, StructureError
 from .localcontact import alexandroff_certificate, check_lca_axioms, infinity_cluster, nca_as_lca
-from .regions import RationalRegion, affine_preimage, interpolate
+from .regions import RationalRegion, affine_preimage, interpolate, parse_rational
 from .report import Report
 from .spaces import map_predicates, rc_algebra, space_predicates
 
@@ -222,13 +223,6 @@ def _region(text: str) -> RationalRegion:
     return RationalRegion.from_text(text)
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructureError(f"bad rational {text!r}") from exc
-
-
 def cmd_region(args) -> int:
     op = args.operation
     if op in ("union", "meet", "le", "contact", "waybelow", "interpolate"):
@@ -268,7 +262,7 @@ def cmd_region(args) -> int:
     if op == "affine":
         if len(args.operands) != 3:
             raise StructureError("region affine takes a slope, an offset and a region")
-        alpha, beta = _rational(args.operands[0]), _rational(args.operands[1])
+        alpha, beta = parse_rational(args.operands[0]), parse_rational(args.operands[1])
         out = affine_preimage(alpha, beta, _region(args.operands[2]))
         _emit(args, jsonio.region_to_json(out), out.to_text())
         return EXIT_OK
@@ -379,9 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     previous_cap = os.environ.get(MAX_ATOMS_ENV)
     if getattr(args, "max_atoms", None) is not None:
         os.environ[MAX_ATOMS_ENV] = str(args.max_atoms)

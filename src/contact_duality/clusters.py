@@ -153,7 +153,7 @@ def grill_clusters(relation: ContactQuery) -> list[Cluster]:
     if alg.size > TABLE_ELEMENT_CAP:
         raise CapExceeded(
             f"grill enumeration capped at {TABLE_ELEMENT_CAP} elements, got {alg.size}")
-    if isinstance(relation, ElementContact) and not relation.assume_ca:
+    if isinstance(relation, ElementContact):
         if alg.atom_count > UNVERIFIED_TABLE_ATOM_CAP:
             raise Refusal(
                 "additivity of an unverified element relation cannot be checked at this size")

@@ -5,11 +5,13 @@ relation on a finite powerset algebra to be determined by its restriction to
 atoms, which collapses storage from square-of-element-count to square-of-atom
 -count and turns cluster theory into clique theory on the atom graph.
 
-Some derived relations (notably the Alexandroff extension of a local contact
-structure) are more convenient to query at element level, so the package also
-ships ElementContact: an element-pair relation with the same query surface.
-Cluster and duality code works against that shared surface and never cares
-which representation it is handed.
+Derived relations are atom relations too: the Alexandroff extension of a
+local contact structure only adds contact between atoms outside the ideal
+generator.  Well-inside is answered from a per-relation table of the largest
+element well inside each element.  ElementContact, an element-pair relation
+given by a predicate, shares the query surface; it stays as the input of the
+brute-force oracles (the axiom checkers and the grill cluster enumeration),
+which re-check it against the contact axioms before use.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import CapExceeded, StructureError
 from .report import Report, Violation
 
 ISO_ATOM_CAP = 10
-_REACH_TABLE_LIMIT = 16  # memoized per-element reach masks only below this width
+_TABLE_LIMIT = 16  # memoized per-element reach and inner masks only below this width
 
 
 class ContactQuery:
@@ -66,7 +68,7 @@ class ContactRelation(ContactQuery):
 
     @cached_property
     def _reach(self) -> tuple[int, ...] | None:
-        if self.algebra.atom_count > _REACH_TABLE_LIMIT:
+        if self.algebra.atom_count > _TABLE_LIMIT:
             return None
         reach = [0] * self.algebra.size
         for i, row in enumerate(self.rows):
@@ -87,6 +89,33 @@ class ContactRelation(ContactQuery):
             acc |= self.rows[i]
         return acc & b != 0
 
+    @cached_property
+    def _inner(self) -> tuple[int, ...] | None:
+        if self.algebra.atom_count > _TABLE_LIMIT:
+            return None
+        return tuple(self._rows_inside(c) for c in self.algebra.elements())
+
+    def _rows_inside(self, c: int) -> int:
+        out = 0
+        for i, row in enumerate(self.rows):
+            if row & ~c == 0:
+                out |= 1 << i
+        return out
+
+    def inner(self, c: int) -> int:
+        """Largest element well inside c: the join of the atoms whose row lies in c.
+
+        b is well inside c exactly when b lies below inner(c), since b avoids
+        the complement of c exactly when every atom of b does.
+        """
+        self.algebra.check_element(c)
+        table = self._inner
+        return self._rows_inside(c) if table is None else table[c]
+
+    def way_below(self, a: int, b: int) -> bool:
+        inner = self.inner(b)
+        return self.algebra.check_element(a) | inner == inner
+
     def atom_pairs(self) -> list[tuple[int, int]]:
         """Strictly-above-diagonal atom pairs in contact, ascending."""
         n = self.algebra.atom_count
@@ -97,15 +126,14 @@ class ElementContact(ContactQuery):
     """Element-level contact relation answered by a predicate.
 
     Only relations satisfying the basic contact axioms are sound inputs for
-    the grill-based cluster machinery; constructions inside this package set
-    assume_ca=True, arbitrary callers are re-checked before enumeration.
+    the grill-based cluster machinery, so grill_clusters re-checks every
+    element relation before enumeration.
     """
 
-    def __init__(self, algebra: FiniteBooleanAlgebra, predicate, *, assume_ca: bool = False,
+    def __init__(self, algebra: FiniteBooleanAlgebra, predicate, *,
                  label: str = "element contact"):
         self.algebra = algebra
         self._predicate = predicate
-        self.assume_ca = assume_ca
         self.label = label
 
     def contact(self, a: int, b: int) -> bool:

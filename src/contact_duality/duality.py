@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clusters import Cluster, check_cluster, grill_clusters
+from .contact import ContactRelation
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import (
     BoundedIdeal,
@@ -75,9 +76,8 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
         src = LocalContactAlgebra(src.contact, BoundedIdeal(src.algebra, src.algebra.top))
         tgt = LocalContactAlgebra(tgt.contact, BoundedIdeal(tgt.algebra, tgt.algebra.top))
     A, B = src.algebra, tgt.algebra
-    rho, eta = src.contact, tgt.contact
-    ext_src = alexandroff_extension(src)
-    ext_tgt = alexandroff_extension(tgt)
+    rho_inner = _inner_table(src.contact)
+    eta_inner = _inner_table(tgt.contact)
     table = phi.table
     src_bounded = [a for a in A.elements() if src.bounded(a)]
     tgt_bounded = [b for b in B.elements() if tgt.bounded(b)]
@@ -100,16 +100,16 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
     for a in src_bounded:
         if done:
             break
+        value = B.complement(table[A.complement(a)])
         for b in A.elements():
-            if rho.way_below(a, b):
-                value = B.complement(table[A.complement(a)])
-                if not eta.way_below(value, table[b]):
-                    violations.append(Violation("PAL3", (A.names_of(a), A.names_of(b))))
-                    done = True
-                    break
+            if (a | rho_inner[b] == rho_inner[b]
+                    and value | eta_inner[table[b]] != eta_inner[table[b]]):
+                violations.append(Violation("PAL3", (A.names_of(a), A.names_of(b))))
+                done = True
+                break
 
     for b in tgt_bounded:
-        if not any(B.le(b, table[a]) for a in src_bounded):
+        if not any(b | table[a] == table[a] for a in src_bounded):
             violations.append(Violation("PAL4", (B.names_of(b),)))
             break
 
@@ -118,17 +118,33 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
             violations.append(Violation("PAL5", (A.names_of(a),)))
             break
 
-    for a in A.elements():
-        sup = 0
-        for b in A.elements():
-            if ext_src.way_below(b, a):
-                sup |= table[b]
+    for a, sup in zip(A.elements(), _lower_joins(src, table)):
         if sup != table[a]:
             violations.append(Violation("PAL6", (A.names_of(a),)))
             break
 
     subject = "PAL axioms" if kind == "PAL" else "DVAL axioms (improper-ideal reading)"
     return Report(subject, tuple(violations))
+
+
+def _inner_table(relation: ContactRelation) -> list[int]:
+    """relation.inner(c) for every c: b is well inside c iff b lies below entry c."""
+    return [relation.inner(c) for c in relation.algebra.elements()]
+
+
+def _lower_joins(structure: LocalContactAlgebra, table: tuple[int, ...]):
+    """For each a ascending, the join of table[b] over the b well inside a.
+
+    Well-inside is taken in the Alexandroff extension of the structure; those
+    b are exactly the elements below the extension's inner(a).
+    """
+    ext = alexandroff_extension(structure)
+    for inner in _inner_table(ext):
+        sup, b = table[0], inner
+        while b:
+            sup |= table[b]
+            b = (b - 1) & inner
+        yield sup
 
 
 def regularize(phi: AlgebraMorphism) -> AlgebraMorphism:
@@ -138,16 +154,7 @@ def regularize(phi: AlgebraMorphism) -> AlgebraMorphism:
     source.  On meet-preserving maps this is idempotent and forces the
     supremum axiom.
     """
-    A = phi.source.algebra
-    ext = alexandroff_extension(phi.source)
-    table = []
-    for a in A.elements():
-        sup = 0
-        for b in A.elements():
-            if ext.way_below(b, a):
-                sup |= phi.table[b]
-        table.append(sup)
-    return AlgebraMorphism(phi.source, phi.target, tuple(table))
+    return AlgebraMorphism(phi.source, phi.target, tuple(_lower_joins(phi.source, phi.table)))
 
 
 def compose(second: AlgebraMorphism, first: AlgebraMorphism) -> AlgebraMorphism:
@@ -395,14 +402,15 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     B = phi.target.algebra
     ext_src = alexandroff_extension(phi.source)
     src_members = [frozenset(c.members()) for c in src_dual.clusters]
+    # a is traced when the cluster holds the complement of phi(b) for every b
+    # well inside the complement of a.  PAL2 has passed, so phi is monotone
+    # and those complements all lie above the one at the largest such b,
+    # inner(complement of a); a cluster is up-closed, so that one decides.
+    least = [B.complement(phi.table[ext_src.inner(A.complement(a))]) for a in A.elements()]
 
     assignment = []
     for cluster in tgt_dual.clusters:
-        traced = frozenset(
-            a for a in A.elements()
-            if all(cluster.contains(B.complement(phi.table[b]))
-                   for b in A.elements() if ext_src.way_below(b, A.complement(a)))
-        )
+        traced = frozenset(a for a in A.elements() if cluster.contains(least[a]))
         check = check_cluster(ext_src, traced)
         if not check.ok:
             raise IntegrityError(f"traced point set is not a cluster: {check.render()}")
@@ -449,9 +457,12 @@ def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
 
     A = phi.target.algebra
     B = phi.source.algebra
-    ext_a = alexandroff_extension(phi.target)
-    ext_b = alexandroff_extension(phi.source)
+    inner_a = _inner_table(alexandroff_extension(phi.target))
+    inner_b = _inner_table(alexandroff_extension(phi.source))
     values = set(phi.table)
+    fibres: dict[int, list[int]] = {}
+    for b in B.elements():
+        fibres.setdefault(phi.table[b], []).append(b)
     violations = []
 
     done = False
@@ -459,9 +470,10 @@ def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
         if done:
             break
         for b in A.elements():
-            if not ext_a.way_below(a, b):
+            if a | inner_a[b] != inner_a[b]:
                 continue
-            if not any(ext_a.way_below(a, v) and ext_a.way_below(v, b) for v in values):
+            if not any(a | inner_a[v] == inner_a[v] and v | inner_a[b] == inner_a[b]
+                       for v in values):
                 violations.append(Violation("EMB1", (A.names_of(a), A.names_of(b))))
                 done = True
                 break
@@ -471,12 +483,9 @@ def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
         if done:
             break
         for b in B.elements():
-            left = ext_a.way_below(phi.table[a], phi.table[b])
-            right = any(
-                ext_b.way_below(a1, b1)
-                for a1 in B.elements() if phi.table[a1] == phi.table[a]
-                for b1 in B.elements() if phi.table[b1] == phi.table[b]
-            )
+            left = phi.table[a] | inner_a[phi.table[b]] == inner_a[phi.table[b]]
+            right = any(a1 | inner_b[b1] == inner_b[b1]
+                        for a1 in fibres[phi.table[a]] for b1 in fibres[phi.table[b]])
             if left != right:
                 violations.append(Violation("EMB2", (B.names_of(a), B.names_of(b))))
                 done = True

@@ -254,6 +254,10 @@ def loads(text: str, where: str = "<input>"):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise StructureError(f"{where}: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # an integer beyond the int-to-string digit limit
+        raise StructureError(f"{where}: a number has too many digits") from exc
     kind = detect_kind(obj)
     parser = {
         "morphism": morphism_from_json,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boolalg import FiniteBooleanAlgebra
-from .contact import ContactRelation, ElementContact, check_axioms, overlap_contact
+from .contact import ContactRelation, check_axioms, overlap_contact
 from .errors import Refusal, StructureError
 from .report import Report, Violation
 
@@ -138,27 +138,21 @@ def check_lca_axioms(structure: LocalContactAlgebra) -> Report:
     return Report("BC axioms", tuple(violations))
 
 
-def alexandroff_extension(structure: LocalContactAlgebra) -> ElementContact:
+def alexandroff_extension(structure: LocalContactAlgebra) -> ContactRelation:
     """Contact enlarged so that any two unbounded elements touch.
 
     This is the algebraic one-point compactification: with the improper ideal
-    nothing changes, otherwise unbounded elements acquire mutual contact.
-    Returned as an element-level relation sharing the standard query surface.
+    nothing changes, otherwise unbounded elements acquire mutual contact.  An
+    element is unbounded exactly when it meets the complement of the ideal
+    generator, so the extension is the atom relation whose rows for atoms of
+    that complement gain the whole complement; contact stays additive.
     """
     rel = structure.contact
-    ideal = structure.ideal
-
-    def extended(a: int, b: int) -> bool:
-        if rel.contact(a, b):
-            return True
-        return not ideal.contains(a) and not ideal.contains(b)
-
-    return ElementContact(
-        structure.algebra,
-        extended,
-        assume_ca=True,
-        label="alexandroff extension",
-    )
+    cogen = structure.algebra.complement(structure.ideal.generator)
+    if not cogen:
+        return rel
+    rows = tuple(row | cogen if cogen >> i & 1 else row for i, row in enumerate(rel.rows))
+    return ContactRelation(rel.algebra, rows)
 
 
 def alexandroff_certificate(structure: LocalContactAlgebra) -> Report:

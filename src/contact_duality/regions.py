@@ -18,6 +18,7 @@ morphism axioms about ideals are exercised non-vacuously here.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 Endpoint = object  # Fraction, or one of the two infinities
+
+RATIONAL_DIGIT_CAP = 1000
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
 def _check_endpoint(value) -> Endpoint:
@@ -45,10 +49,28 @@ def parse_endpoint(text: str) -> Endpoint:
         return NEG_INF
     if text in ("inf", "+inf", "infinity", "+infinity"):
         return POS_INF
+    return parse_rational(text, "rational endpoint")
+
+
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    """Fraction(text), refusing a text that spells over RATIONAL_DIGIT_CAP digits.
+
+    The digits an exponent stands for count too, and the count is taken from
+    the text before Fraction builds the number, so '1e999999999' is refused at
+    once instead of being expanded.  Within the cap the numbers the region
+    operations print (at most about three times the cap in digits, for an
+    affine preimage) stay below the interpreter's int-to-string limit.
+    """
+    digits = sum(ch.isdigit() for ch in text)
+    exponent = _EXPONENT.match(text)
+    if digits <= RATIONAL_DIGIT_CAP and exponent:
+        digits += abs(int(exponent.group(1)))
+    if digits > RATIONAL_DIGIT_CAP:
+        raise StructureError(f"{what} {text!r} spells more than {RATIONAL_DIGIT_CAP} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise StructureError(f"bad rational endpoint {text!r}") from exc
+        raise StructureError(f"bad {what} {text!r}") from exc
 
 
 def endpoint_text(value: Endpoint) -> str:

@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -188,6 +192,26 @@ class TestRegionVerb:
         code, _, err = run(capsys, "region", "union", "[0,1]")
         assert code == 2
 
+    def test_huge_exponent_exits_two(self, capsys):
+        code, out, err = run(capsys, "region", "union", "[0,1e200000]", "[0,1]")
+        assert (code, out) == (2, "")
+        assert err == "error: rational endpoint '1e200000' spells more than 1000 digits\n"
+        code, out, err = run(capsys, "region", "affine", "--", "-1E+2_00000", "0", "[0,1]")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rational '-1E+2_00000'")
+
+    def test_exponent_is_refused_before_the_number_is_built(self, capsys):
+        start = time.perf_counter()
+        for operands in (("[0,1e999999999]", "[0,1]"), ("[0,1e-999999999]", "[0,1]")):
+            assert run(capsys, "region", "union", *operands)[:2] == (2, "")
+        assert run(capsys, "region", "affine", "1e999999999", "0", "[0,1]")[:2] == (2, "")
+        assert time.perf_counter() - start < 5.0
+
+    def test_exponents_within_the_cap_still_parse(self, capsys):
+        assert run(capsys, "region", "union", "[0,1e3]", "[0,1]")[:2] == (0, "[0,1000]\n")
+        code, out, _ = run(capsys, "region", "affine", "1e-3", "0", "[0,1]")
+        assert (code, out) == (0, "[0,1000]\n")
+
     def test_affine_with_a_bad_slope_or_offset_exits_two(self, capsys):
         for operands in (("x", "0"), ("1/0", "0"), ("1", "y"), ("1", "2/0")):
             code, out, err = run(capsys, "region", "affine", "--", *operands, "[0,1]")
@@ -222,6 +246,25 @@ class TestDeterminismAndRoundTrip:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["validate", str(DATA / "rho_s_2.json"), "--bogus"])
+
+    def test_parser_rejection_leaves_later_calls_as_fresh_ones(self, capsys):
+        # main keeps one parser per process; a usage error must not change it
+        rejected = ["check-morphism", str(DATA / "identity_morphism_2.json"), "--kind", "XYZ"]
+        valid = ["check-morphism", str(DATA / "identity_morphism_2.json"), "--format", "json"]
+        with pytest.raises(SystemExit) as raised:
+            main(rejected)
+        captured = capsys.readouterr()
+        in_process = [(raised.value.code, captured.out, captured.err), run(capsys, *valid)]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+        fresh = []
+        for argv in (rejected, valid):
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from contact_duality.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv], capture_output=True, text=True, env=env, timeout=60)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert fresh[0][0] == 2 and "invalid choice" in fresh[0][2]
 
 
 class TestCapOverride:
@@ -271,6 +314,20 @@ class TestParserRejections:
         code, _, err = run(capsys, "check-morphism", str(path))
         assert code == 2
         assert "twice" in err
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: arrays or objects nested too deeply\n"
+
+    def test_overlong_json_integer_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"intervals": [[0, ' + "7" * 5000 + "]]}")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: a number has too many digits\n"
 
     def test_partial_morphism_table_rejected(self, tmp_path, capsys):
         base = json.loads((DATA / "identity_morphism_2.json").read_text())

@@ -147,7 +147,7 @@ class TestEnumeration:
 
     def test_table_cap_refusal(self):
         alg = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(17)))
-        rel = ElementContact(alg, lambda a, b: bool(a and b), assume_ca=True)
+        rel = ElementContact(alg, lambda a, b: bool(a and b))
         with pytest.raises(CapExceeded):
             grill_clusters(rel)
 

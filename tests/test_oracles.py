@@ -1,0 +1,352 @@
+"""Differential tests: the atom-table fast paths against brute-force oracles.
+
+The oracles are the element-level definitions the fast paths replaced: the
+Alexandroff extension as a contact predicate, well-inside as "avoids the
+complement" asked of that predicate, and the morphism checker,
+regularization, dual of a morphism and closed-embedding test written with
+those two.  Every report, table, assignment and refusal must agree exactly,
+least witnesses and messages included.
+"""
+
+import random
+
+import pytest
+
+from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.clusters import check_cluster
+from contact_duality.contact import ContactQuery, ContactRelation, ElementContact
+from contact_duality.corpus import atom_relations, dual_morphism_corpus, ideal_structures
+from contact_duality.duality import (
+    AlgebraMorphism,
+    EmbeddingResult,
+    check_closed_embedding,
+    check_morphism,
+    dual_of_morphism,
+    dual_space,
+    regularize,
+)
+from contact_duality.errors import IntegrityError, Refusal, StructureError
+from contact_duality.localcontact import (
+    BoundedIdeal,
+    LocalContactAlgebra,
+    alexandroff_extension,
+)
+from contact_duality.report import Report, Violation
+from contact_duality.spaces import SpaceMap, map_predicates
+from test_duality import morphism_candidates
+
+
+# oracles -------------------------------------------------------------------
+
+
+def oracle_extension(structure):
+    rel = structure.contact
+    ideal = structure.ideal
+
+    def extended(a, b):
+        if rel.contact(a, b):
+            return True
+        return not ideal.contains(a) and not ideal.contains(b)
+
+    return ElementContact(structure.algebra, extended, label="alexandroff extension")
+
+
+def wb(relation, a, b):
+    """Well-inside by the contact predicate, never by the inner tables."""
+    return ContactQuery.way_below(relation, a, b)
+
+
+def oracle_check_morphism(phi, kind="PAL"):
+    src, tgt = phi.source, phi.target
+    if kind == "DVAL":
+        src = LocalContactAlgebra(src.contact, BoundedIdeal(src.algebra, src.algebra.top))
+        tgt = LocalContactAlgebra(tgt.contact, BoundedIdeal(tgt.algebra, tgt.algebra.top))
+    A, B = src.algebra, tgt.algebra
+    rho, eta = src.contact, tgt.contact
+    ext_src = oracle_extension(src)
+    table = phi.table
+    src_bounded = [a for a in A.elements() if src.bounded(a)]
+    tgt_bounded = [b for b in B.elements() if tgt.bounded(b)]
+    violations = []
+
+    if table[0] != 0:
+        violations.append(Violation("PAL1", (B.names_of(table[0]),)))
+
+    done = False
+    for a in A.elements():
+        if done:
+            break
+        for b in A.elements():
+            if table[a & b] != table[a] & table[b]:
+                violations.append(Violation("PAL2", (A.names_of(a), A.names_of(b))))
+                done = True
+                break
+
+    done = False
+    for a in src_bounded:
+        if done:
+            break
+        for b in A.elements():
+            if wb(rho, a, b):
+                value = B.complement(table[A.complement(a)])
+                if not wb(eta, value, table[b]):
+                    violations.append(Violation("PAL3", (A.names_of(a), A.names_of(b))))
+                    done = True
+                    break
+
+    for b in tgt_bounded:
+        if not any(B.le(b, table[a]) for a in src_bounded):
+            violations.append(Violation("PAL4", (B.names_of(b),)))
+            break
+
+    for a in src_bounded:
+        if not tgt.bounded(table[a]):
+            violations.append(Violation("PAL5", (A.names_of(a),)))
+            break
+
+    for a in A.elements():
+        sup = 0
+        for b in A.elements():
+            if wb(ext_src, b, a):
+                sup |= table[b]
+        if sup != table[a]:
+            violations.append(Violation("PAL6", (A.names_of(a),)))
+            break
+
+    subject = "PAL axioms" if kind == "PAL" else "DVAL axioms (improper-ideal reading)"
+    return Report(subject, tuple(violations))
+
+
+def oracle_regularize(phi):
+    A = phi.source.algebra
+    ext = oracle_extension(phi.source)
+    table = []
+    for a in A.elements():
+        sup = 0
+        for b in A.elements():
+            if wb(ext, b, a):
+                sup |= phi.table[b]
+        table.append(sup)
+    return AlgebraMorphism(phi.source, phi.target, tuple(table))
+
+
+def oracle_dual_of_morphism(phi):
+    report = oracle_check_morphism(phi, "PAL")
+    if not report.ok:
+        raise Refusal("dual of a morphism requires the morphism axioms", report)
+    src_dual = dual_space(phi.source)
+    tgt_dual = dual_space(phi.target)
+    A = phi.source.algebra
+    B = phi.target.algebra
+    ext_src = oracle_extension(phi.source)
+    src_members = [frozenset(c.members()) for c in src_dual.clusters]
+
+    assignment = []
+    for cluster in tgt_dual.clusters:
+        traced = frozenset(
+            a for a in A.elements()
+            if all(cluster.contains(B.complement(phi.table[b]))
+                   for b in A.elements() if wb(ext_src, b, A.complement(a)))
+        )
+        check = check_cluster(ext_src, traced)
+        if not check.ok:
+            raise IntegrityError(f"traced point set is not a cluster: {check.render()}")
+        if phi.source.improper:
+            bounded = True
+        else:
+            bounded = any(phi.source.bounded(a) for a in traced)
+        if not bounded:
+            raise IntegrityError("traced cluster is not bounded")
+        try:
+            assignment.append(src_members.index(traced))
+        except ValueError as exc:
+            raise IntegrityError("traced cluster missing from the dual point list") from exc
+
+    result = SpaceMap(tgt_dual.space, src_dual.space, tuple(assignment))
+    if not map_predicates(result).perfect:
+        raise IntegrityError("dual of a morphism failed the perfectness certificate")
+    return result
+
+
+def oracle_check_closed_embedding(phi):
+    pal = oracle_check_morphism(phi, "PAL")
+    if not pal.ok:
+        raise Refusal("closed embedding test requires a morphism", pal)
+    for side in (phi.source, phi.target):
+        if not side.bc_report.ok:
+            raise Refusal("closed embedding test requires validated structures",
+                          side.bc_report)
+
+    A = phi.target.algebra
+    B = phi.source.algebra
+    ext_a = oracle_extension(phi.target)
+    ext_b = oracle_extension(phi.source)
+    values = set(phi.table)
+    violations = []
+
+    done = False
+    for a in A.elements():
+        if done:
+            break
+        for b in A.elements():
+            if not wb(ext_a, a, b):
+                continue
+            if not any(wb(ext_a, a, v) and wb(ext_a, v, b) for v in values):
+                violations.append(Violation("EMB1", (A.names_of(a), A.names_of(b))))
+                done = True
+                break
+
+    done = False
+    for a in B.elements():
+        if done:
+            break
+        for b in B.elements():
+            left = wb(ext_a, phi.table[a], phi.table[b])
+            right = any(
+                wb(ext_b, a1, b1)
+                for a1 in B.elements() if phi.table[a1] == phi.table[a]
+                for b1 in B.elements() if phi.table[b1] == phi.table[b]
+            )
+            if left != right:
+                violations.append(Violation("EMB2", (B.names_of(a), B.names_of(b))))
+                done = True
+                break
+
+    report = Report("closed embedding conditions", tuple(violations))
+    return EmbeddingResult(report.ok, report)
+
+
+# helpers -------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """A result, or the exception's type, message and carried report."""
+    try:
+        return "value", fn(*args)
+    except (Refusal, IntegrityError, StructureError) as exc:
+        report = getattr(exc, "report", None)
+        return type(exc).__name__, str(exc), report
+
+
+def structures_up_to(n):
+    return [s for k in range(1, n + 1) for s in ideal_structures(k)]
+
+
+def seeded_tables(seed=20071):
+    """Every structure up to 3 atoms as source and as target, with random,
+    atomwise-join, Boolean-homomorphism and regularized tables."""
+    rng = random.Random(seed)
+    structures = structures_up_to(3)
+    out = []
+    for s in structures:
+        for t in [s] + rng.sample(structures, 3):
+            A, B = s.algebra, t.algebra
+            out.append(AlgebraMorphism(s, t, tuple(rng.randrange(B.size) for _ in A.elements())))
+            images = [rng.randrange(B.size) for _ in range(A.atom_count)]
+            joins = tuple(_join(images[i] for i in range(A.atom_count) if a >> i & 1)
+                          for a in A.elements())
+            out.append(AlgebraMorphism(s, t, joins))
+            out.append(AlgebraMorphism(s, t, tuple(regularize(out[-1]).table)))
+            # a Boolean homomorphism: atom j of B goes to the atom pick[j] of A
+            pick = [rng.randrange(A.atom_count) for _ in range(B.atom_count)]
+            hom = tuple(_join(1 << j for j in range(B.atom_count) if a >> pick[j] & 1)
+                        for a in A.elements())
+            out.append(AlgebraMorphism(s, t, hom))
+    return out
+
+
+def _join(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    phis = morphism_candidates() + dual_morphism_corpus(3) + seeded_tables()
+    assert any(not s.improper for phi in phis for s in (phi.source, phi.target))
+    return phis
+
+
+# extension and inner tables ---------------------------------------------------
+
+
+class TestExtensionRows:
+    def test_rows_agree_with_the_element_predicate(self):
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            for rel in atom_relations(n):
+                for gen in rel.algebra.elements():
+                    s = LocalContactAlgebra(rel, BoundedIdeal(rel.algebra, gen))
+                    ext, oracle = alexandroff_extension(s), oracle_extension(s)
+                    assert isinstance(ext, ContactRelation)
+                    for a in rel.algebra.elements():
+                        for b in rel.algebra.elements():
+                            assert ext.contact(a, b) == oracle.contact(a, b), (rel.rows, gen)
+                    pairs += 1
+        assert pairs == 1098
+
+    def test_well_inside_agrees_with_the_element_predicate(self):
+        for n in (1, 2, 3, 4):
+            for rel in atom_relations(n):
+                for gen in rel.algebra.elements():
+                    s = LocalContactAlgebra(rel, BoundedIdeal(rel.algebra, gen))
+                    ext, oracle = alexandroff_extension(s), oracle_extension(s)
+                    for c in rel.algebra.elements():
+                        below = [b for b in rel.algebra.elements() if wb(oracle, b, c)]
+                        assert ext.inner(c) == max(below)
+                        assert [b for b in rel.algebra.elements()
+                                if ext.way_below(b, c)] == below
+
+    def test_improper_ideal_returns_the_relation_itself(self):
+        for rel in atom_relations(3):
+            s = LocalContactAlgebra(rel, BoundedIdeal(rel.algebra, rel.algebra.top))
+            assert alexandroff_extension(s) is rel
+
+    def test_inner_without_a_table_above_the_width_limit(self):
+        alg = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(17)))
+        path = tuple((0b111 << i >> 1) & alg.top for i in range(17))
+        rel = ContactRelation(alg, path)
+        assert rel._inner is None
+        for c in (0, 1, 0b11, 0b111, 0b1110, alg.top, alg.top ^ 1, alg.top ^ (1 << 8)):
+            expected = _join(1 << i for i in range(17) if path[i] & ~c == 0)
+            assert rel.inner(c) == expected
+            for b in (1, 1 << 1, 1 << 8, 0b110):
+                assert rel.way_below(b, c) == wb(rel, b, c)
+
+    def test_well_inside_checks_its_arguments_in_the_old_order(self):
+        rel = atom_relations(2)[0]
+        for a, b in ((0, 7), (9, 1), (-1, 8)):
+            with pytest.raises(StructureError) as fast:
+                rel.way_below(a, b)
+            with pytest.raises(StructureError) as slow:
+                wb(rel, a, b)
+            assert str(fast.value) == str(slow.value)
+
+
+# morphism calculus ------------------------------------------------------------
+
+
+class TestMorphismCalculus:
+    def test_check_morphism_reports(self, corpus):
+        for phi in corpus:
+            for kind in ("PAL", "DVAL"):
+                assert check_morphism(phi, kind) == oracle_check_morphism(phi, kind), phi.table
+
+    def test_regularize_tables(self, corpus):
+        for phi in corpus:
+            assert regularize(phi) == oracle_regularize(phi), phi.table
+
+    def test_dual_of_morphism(self, corpus):
+        mapped = 0
+        for phi in corpus:
+            ours, theirs = outcome(dual_of_morphism, phi), outcome(oracle_dual_of_morphism, phi)
+            assert ours == theirs, phi.table
+            mapped += ours[0] == "value"
+        assert mapped >= 75  # only the overlap structures pass the boundedness axioms
+
+    def test_closed_embedding(self, corpus):
+        for phi in corpus:
+            assert outcome(check_closed_embedding, phi) == \
+                outcome(oracle_check_closed_embedding, phi), phi.table
