@@ -14,6 +14,7 @@ space of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .clusters import Cluster, check_cluster, grill_clusters
 from .contact import ContactRelation
@@ -187,6 +188,23 @@ class DualSpace:
     def region_of(self, a: int) -> int:
         self.source.algebra.check_element(a)
         return self.regions[a]
+
+    @cached_property
+    def point_index(self) -> dict[frozenset[int], int]:
+        """Index of each point, keyed by the member set of its cluster."""
+        return {frozenset(c.members()): i for i, c in enumerate(self.clusters)}
+
+    def certificate(self, i: int) -> Report:
+        """check_cluster of point i, run on the first request and kept."""
+        kept = self._certificates
+        if i not in kept:
+            cluster = self.clusters[i]
+            kept[i] = check_cluster(cluster.relation, cluster.members())
+        return kept[i]
+
+    @cached_property
+    def _certificates(self) -> dict[int, Report]:
+        return {}
 
 
 def dual_space(structure: LocalContactAlgebra, *, validate: bool = True) -> DualSpace:
@@ -401,7 +419,6 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     A = phi.source.algebra
     B = phi.target.algebra
     ext_src = alexandroff_extension(phi.source)
-    src_members = [frozenset(c.members()) for c in src_dual.clusters]
     # a is traced when the cluster holds the complement of phi(b) for every b
     # well inside the complement of a.  PAL2 has passed, so phi is monotone
     # and those complements all lie above the one at the largest such b,
@@ -411,7 +428,11 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     assignment = []
     for cluster in tgt_dual.clusters:
         traced = frozenset(a for a in A.elements() if cluster.contains(least[a]))
-        check = check_cluster(ext_src, traced)
+        # a point's certificate is kept on the source's dual space; a set
+        # that is no point is certified here, so that it fails as a cluster
+        # before it fails the point-list match
+        index = src_dual.point_index.get(traced)
+        check = check_cluster(ext_src, traced) if index is None else src_dual.certificate(index)
         if not check.ok:
             raise IntegrityError(f"traced point set is not a cluster: {check.render()}")
         if phi.source.improper:
@@ -420,10 +441,9 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
             bounded = any(phi.source.bounded(a) for a in traced)
         if not bounded:
             raise IntegrityError("traced cluster is not bounded")
-        try:
-            assignment.append(src_members.index(traced))
-        except ValueError as exc:
-            raise IntegrityError("traced cluster missing from the dual point list") from exc
+        if index is None:
+            raise IntegrityError("traced cluster missing from the dual point list")
+        assignment.append(index)
 
     result = SpaceMap(tgt_dual.space, src_dual.space, tuple(assignment))
     preds = map_predicates(result)

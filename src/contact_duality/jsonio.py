@@ -186,13 +186,18 @@ def region_to_json(region: RationalRegion) -> dict:
     return {"intervals": [[endpoint_text(lo), endpoint_text(hi)]
                           for lo, hi in region.intervals]}
 
+def _endpoint_from_json(value):
+    # a number with a fraction or an exponent is read from its literal text,
+    # so that it stays exact and parse_endpoint's digit cap applies to it
+    return parse_endpoint(value.text if isinstance(value, _JsonNumber) else str(value))
+
 def region_from_json(obj) -> RationalRegion:
     intervals = _expect(obj, "intervals", list, "region")
     pairs = []
     for pair in intervals:
         if not isinstance(pair, list) or len(pair) != 2:
             raise StructureError("region: each interval must be a two-element array")
-        pairs.append((parse_endpoint(str(pair[0])), parse_endpoint(str(pair[1]))))
+        pairs.append((_endpoint_from_json(pair[0]), _endpoint_from_json(pair[1])))
     return RationalRegion.of(*pairs)
 
 
@@ -249,9 +254,24 @@ def detect_kind(obj) -> str:
     raise StructureError("unrecognized document: no known discriminating field")
 
 
+class _JsonNumber(float):
+    """A JSON number with a fraction or an exponent that keeps its literal text.
+
+    Its value is the float json would give, so every reader other than the
+    region endpoints sees and reports that float.
+    """
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+
 def loads(text: str, where: str = "<input>"):
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_JsonNumber)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

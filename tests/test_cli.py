@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,21 @@ class TestValidate:
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "validate", str(DATA / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("n", [9, 24])
+    def test_path_relation_fails_interpolation_quickly(self, n, tmp_path, capsys):
+        # at 9 atoms the element scan of C4 alone visits 512^3 triples
+        names = [f"a{i}" for i in range(n)]
+        doc = {"algebra": {"atoms": names},
+               "contact": [[names[i], names[i + 1]] for i in range(n - 1)]}
+        path = tmp_path / f"path{n}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert "violated C5 at ({a0}, {a2})" in out
+        assert "CA axioms: pass" in out and "connected: yes" in out
 
     def test_semantic_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -328,6 +344,24 @@ class TestParserRejections:
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: a number has too many digits\n"
+
+    def test_number_endpoints_keep_their_literal_value(self):
+        cases = {"1e400": Fraction(10) ** 400,
+                 "12345678901234567890.5": Fraction(24691357802469135781, 2),
+                 "0.1": Fraction(1, 10),
+                 "-2.5E-3": Fraction(-1, 400)}
+        for literal, value in cases.items():
+            _, region = jsonio.loads('{"intervals": [[-1, %s]]}' % literal)
+            assert region.intervals == ((Fraction(-1), value),), literal
+
+    def test_number_endpoint_over_the_digit_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"intervals": [[0, 1e2000]]}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: rational endpoint '1e2000' spells more than 1000 digits\n"
+        path.write_text('{"intervals": [[0, 1e400]]}')
+        assert run(capsys, "validate", str(path))[:2] == (0, "region: well formed\n")
 
     def test_partial_morphism_table_rejected(self, tmp_path, capsys):
         base = json.loads((DATA / "identity_morphism_2.json").read_text())

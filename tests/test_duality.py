@@ -28,7 +28,7 @@ from contact_duality.duality import (
     roundtrip_report,
     verify_double_dual,
 )
-from contact_duality.errors import Refusal, StructureError
+from contact_duality.errors import IntegrityError, Refusal, StructureError
 from contact_duality.localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
@@ -527,6 +527,36 @@ class TestDualOfMorphism:
                     dual_map = dual_of_morphism(phi)
                     surjective = map_predicates(dual_map).surjective
                     assert injective == surjective
+
+    @staticmethod
+    def count_certificates(monkeypatch):
+        certified = []
+        original = duality_module.check_cluster
+
+        def counting(relation, members):
+            certified.append(frozenset(members))
+            return original(relation, members)
+
+        monkeypatch.setattr(duality_module, "check_cluster", counting)
+        return certified
+
+    def test_point_certificates_computed_once_per_dual_space(self, monkeypatch):
+        certified = self.count_certificates(monkeypatch)
+        phi = identity_morphism(improper_overlap(3))
+        maps = [dual_of_morphism(phi) for _ in range(3)]
+        assert maps[0] == maps[1] == maps[2]
+        assert len(certified) == len(set(certified)) == 3
+
+    def test_traced_set_that_is_no_point_is_certified_then_refused(self, monkeypatch):
+        source, target = improper_overlap(2), improper_overlap(2)
+        dual = dual_space(source)
+        monkeypatch.setitem(source.__dict__, "dual",
+                            dataclasses.replace(dual, clusters=dual.clusters[:1]))
+        certified = self.count_certificates(monkeypatch)
+        phi = AlgebraMorphism(source, target, tuple(source.algebra.elements()))
+        with pytest.raises(IntegrityError, match="missing from the dual point list"):
+            dual_of_morphism(phi)
+        assert certified == [frozenset(c.members()) for c in dual.clusters]
 
 
 class TestClosedEmbedding:

@@ -4,8 +4,10 @@ The oracles are the element-level definitions the fast paths replaced: the
 Alexandroff extension as a contact predicate, well-inside as "avoids the
 complement" asked of that predicate, and the morphism checker,
 regularization, dual of a morphism and closed-embedding test written with
-those two.  Every report, table, assignment and refusal must agree exactly,
-least witnesses and messages included.
+those two.  The CA, NCA and CON decisions on atom rows are checked against
+the element scans check_axioms runs on an ElementContact.  Every report,
+table, assignment and refusal must agree exactly, least witnesses and
+messages included.
 """
 
 import random
@@ -14,8 +16,20 @@ import pytest
 
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.clusters import check_cluster
-from contact_duality.contact import ContactQuery, ContactRelation, ElementContact
-from contact_duality.corpus import atom_relations, dual_morphism_corpus, ideal_structures
+from contact_duality import contact
+from contact_duality.contact import (
+    ContactQuery,
+    ContactRelation,
+    ElementContact,
+    check_axioms,
+    overlap_contact,
+)
+from contact_duality.corpus import (
+    atom_relations,
+    dual_morphism_corpus,
+    ideal_structures,
+    small_algebra,
+)
 from contact_duality.duality import (
     AlgebraMorphism,
     EmbeddingResult,
@@ -350,3 +364,75 @@ class TestMorphismCalculus:
         for phi in corpus:
             assert outcome(check_closed_embedding, phi) == \
                 outcome(oracle_check_closed_embedding, phi), phi.table
+
+
+# axiom checks on atom rows ----------------------------------------------------
+
+
+def element_scan(relation):
+    return ElementContact(relation.algebra, relation.contact, label="element scan")
+
+
+# element scans of the axioms whose row decision does work; on a
+# ContactRelation C1-C4 hold by construction and are not checked
+ROW_DECIDED = {"NCA": (contact._check_c5, contact._check_c6), "CON": (contact._check_con,)}
+
+
+def scanned_report(relation, kind):
+    """check_axioms(element_scan(relation), kind) without the C1-C4 scans."""
+    scan = element_scan(relation)
+    found = (check(scan, relation.algebra) for check in ROW_DECIDED[kind])
+    return Report(f"{kind} axioms", tuple(v for v in found if v is not None))
+
+
+def seeded_relations(seed=2005):
+    """Relations on 6 to 8 atoms: random graphs of low, middle and high edge
+    density, and (on 6 atoms, where its scan is cheap) a disjoint union of
+    cliques and the overlap relation, on which C5 holds."""
+    rng = random.Random(seed)
+    out = []
+    for n in (6, 7, 8):
+        alg = small_algebra(n)
+        for density in (0.15, 0.5, 0.85):
+            rows = [1 << i for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            out.append(ContactRelation(alg, tuple(rows)))
+    alg = small_algebra(6)
+    block = [rng.randrange(3) for _ in range(6)]
+    cliques = tuple(_join(1 << j for j in range(6) if block[j] == block[i]) for i in range(6))
+    return out + [ContactRelation(alg, cliques), overlap_contact(alg)]
+
+
+class TestAxiomRows:
+    def test_reports_equal_the_element_scan(self):
+        # full reports, C1-C4 scans included, on every relation up to 4
+        # atoms; the 8^n C4 scan makes all 1,024 on 5 atoms take minutes
+        for n in (1, 2, 3, 4):
+            for rel in atom_relations(n):
+                scan = element_scan(rel)
+                for kind in ("CA", "NCA", "CON"):
+                    assert check_axioms(rel, kind) == check_axioms(scan, kind), (rel.rows, kind)
+
+    def test_witnesses_equal_the_element_scan_on_five_atoms(self):
+        for rel in atom_relations(5):
+            assert check_axioms(rel, "CA") == Report("CA axioms")
+            for kind in ("NCA", "CON"):
+                assert check_axioms(rel, kind) == scanned_report(rel, kind), (rel.rows, kind)
+
+    def test_witnesses_equal_the_element_scan_on_seeded_relations(self):
+        relations = seeded_relations()
+        outcomes = set()
+        for rel in relations:
+            assert check_axioms(rel, "CA") == Report("CA axioms")
+            for kind in ("NCA", "CON"):
+                report = check_axioms(rel, kind)
+                assert report == scanned_report(rel, kind), (rel.rows, kind)
+                outcomes.update((kind, v.axiom) for v in report.violations)
+                outcomes.add((kind, report.ok))
+        # every decision is seen both passing and failing
+        assert outcomes >= {("NCA", "C5"), ("NCA", "C6"), ("NCA", True),
+                            ("CON", "CON"), ("CON", True)}
