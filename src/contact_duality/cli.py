@@ -36,6 +36,7 @@ from .spaces import map_predicates, rc_algebra, space_predicates
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_STRUCTURE = 2
+REGION_SAMPLE_CAP = 100_000  # region laws --samples; each sample is a few region operations
 
 
 def _read(path: str):
@@ -282,6 +283,9 @@ def _random_region(rng: random.Random) -> RationalRegion:
 
 def _region_laws(args) -> int:
     """Sampled Boolean and contact laws; the seed makes reruns identical."""
+    if not 0 <= args.samples <= REGION_SAMPLE_CAP:
+        raise StructureError(
+            f"--samples must lie between 0 and {REGION_SAMPLE_CAP}, got {args.samples}")
     rng = random.Random(args.seed)
     failures = []
     for index in range(args.samples):
@@ -366,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("union", "meet", "complement", "le", "contact", "waybelow",
                             "bounded", "interpolate", "affine", "laws"))
     p.add_argument("operands", nargs="*")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"sample count for laws, at most {REGION_SAMPLE_CAP}")
     common(p)
     p.set_defaults(run=cmd_region)
 

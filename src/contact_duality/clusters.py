@@ -196,4 +196,4 @@ def bounded_clusters(structure: LocalContactAlgebra) -> list[Cluster]:
     """
     extension = alexandroff_extension(structure)
     gen = structure.ideal.generator
-    return [c for c in grill_clusters(extension) if c.support & gen]
+    return [c for c in enumerate_clusters(extension) if c.support & gen]

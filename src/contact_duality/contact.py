@@ -8,11 +8,11 @@ atoms, which collapses storage from square-of-element-count to square-of-atom
 Derived relations are atom relations too: the Alexandroff extension of a
 local contact structure only adds contact between atoms outside the ideal
 generator.  Well-inside is answered from a per-relation table of the largest
-element well inside each element, and the CA, NCA and CON axioms are decided
-on the rows.  ElementContact, an element-pair relation given by a predicate,
-shares the query surface; it stays as the input of the brute-force oracles
-(the element scans of the axiom checkers and the grill cluster enumeration),
-which re-check it against the contact axioms before use.
+element well inside each element, and the CA, NCA, CON and LL axioms are
+decided on the rows.  ElementContact, an element-pair relation given by a
+predicate, shares the query surface; it stays as the input of the brute-force
+oracles (the element scans of the axiom checkers and the grill cluster
+enumeration), which re-check it against the contact axioms before use.
 """
 
 from __future__ import annotations
@@ -192,15 +192,14 @@ def check_axioms(relation: ContactQuery, kind: str) -> Report:
     well-inside relation.  Every axiom is checked independently even when one
     is derivable from others.
 
-    A ContactRelation is decided on its atom rows for CA, NCA and CON, in
-    time quadratic in the atom count; the report, least witnesses included,
-    equals the element scan's.  LL, and every kind on an ElementContact, is
-    decided by scanning elements.
+    A ContactRelation is decided on its atom rows, in time quadratic in the
+    atom count; the report, least witnesses included, equals the element
+    scan's.  Every kind on an ElementContact is decided by scanning elements.
     """
     if kind not in AXIOM_KINDS:
         raise StructureError(f"unknown axiom kind {kind!r}; expected one of {AXIOM_KINDS}")
     algebra = relation.algebra
-    if isinstance(relation, ContactRelation) and kind in _ROW_CHECKS:
+    if isinstance(relation, ContactRelation):
         checks = _ROW_CHECKS[kind]
     else:
         checks = _ELEMENT_CHECKS[kind]
@@ -345,7 +344,10 @@ def _check_ll7(r, alg):
 # that a touches b exactly when R(a) meets b.  C1-C4 need no check: the rows
 # are reflexive and symmetric (ContactRelation.__post_init__), so a nonzero a
 # touches itself, 0 touches nothing, contact is symmetric, and "R(a) meets
-# b or c" is additive in b.
+# b or c" is additive in b.  Nor do LL1-LL4 and LL7, as inner(b) lies below
+# b, grows with b and takes joins, and symmetric rows make << self-dual under
+# complement.  A failing first element of C5, LL5, LL6 or BC1-BC3 has a
+# failing atom, so each least witness starts with an atom.
 
 
 def _row_c5(r, alg):
@@ -391,13 +393,39 @@ def _row_con(r, alg):
     return None if least == alg.top else _witness(alg, "CON", least)
 
 
+def interpolation_gap(relation: ContactRelation, bound: int) -> int | None:
+    """Least atom j of bound with no b below bound such that {j} << b << R[j];
+    the largest candidate b is inner(R[j]) & bound.  Decides BC1, and LL5 at top."""
+    inside = relation._rows_inside
+    return next((j for j, row in enumerate(relation.rows)
+                 if bound >> j & 1 and not inside(inside(row) & bound) >> j & 1), None)
+
+
+def isolation_gap(relation: ContactRelation, bound: int) -> int | None:
+    """Least atom i with no nonzero b below bound well inside {i}, that is,
+    unless R[i] = {i} and i lies in bound.  Decides BC3, and LL6 at top."""
+    return next((i for i, row in enumerate(relation.rows)
+                 if row != 1 << i or not bound >> i & 1), None)
+
+
+def _row_ll5(r, alg):
+    j = interpolation_gap(r, alg.top)
+    return None if j is None else _witness(alg, "LL5", 1 << j, r.rows[j])
+
+
+def _row_ll6(r, alg):
+    i = isolation_gap(r, alg.top)
+    return None if i is None else _witness(alg, "LL6", 1 << i)
+
+
 _ELEMENT_CHECKS = {
     "CA": (_check_c1, _check_c2, _check_c3, _check_c4),
     "NCA": (_check_c1, _check_c2, _check_c3, _check_c4, _check_c5, _check_c6),
     "CON": (_check_con,),
     "LL": (_check_ll1, _check_ll2, _check_ll3, _check_ll4, _check_ll5, _check_ll6, _check_ll7),
 }
-_ROW_CHECKS = {"CA": (), "NCA": (_row_c5, _row_c6), "CON": (_row_con,)}
+_ROW_CHECKS = {"CA": (), "NCA": (_row_c5, _row_c6), "CON": (_row_con,),
+               "LL": (_row_ll5, _row_ll6)}
 
 
 def ca_isomorphic(first: ContactRelation, second: ContactRelation) -> tuple[int, ...] | None:

@@ -238,38 +238,23 @@ def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
         gen = structure.ideal.generator
         points = [c for c in everything if c.support & gen]
         infinity = Cluster(extension, alg.complement(gen))
-
-    names = tuple("{" + ",".join(c.support_names()) + "}" for c in points)
-    regions = []
-    for a in alg.elements():
-        mask = 0
-        for i, c in enumerate(points):
-            if c.contains(a):
-                mask |= 1 << i
-        regions.append(mask)
-
-    closed = {0, (1 << len(points)) - 1 if points else 0}
-    closed.update(regions)
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in list(closed):
-                for h in (f | g, f & g):
-                    if h not in closed:
-                        closed.add(h)
-                        new.append(h)
-        frontier = new
-
     if not points:
         raise StructureError("dual space has no points; the structure is degenerate here")
-    nbhd = []
-    for i in range(len(points)):
-        avoid = 0
-        for f in closed:
-            if not f >> i & 1:
-                avoid |= f
-        nbhd.append(((1 << len(points)) - 1) ^ avoid)
+
+    names = tuple("{" + ",".join(c.support_names()) + "}" for c in points)
+    # The region of a holds the points whose support meets a: it is the join
+    # of the regions of a's atoms.
+    atom_regions = [sum(1 << i for i, c in enumerate(points) if c.support >> k & 1)
+                    for k in range(alg.atom_count)]
+    regions = [0]
+    for a in range(1, alg.size):
+        low = a & -a
+        regions.append(regions[a ^ low] | atom_regions[low.bit_length() - 1])
+    # The regions generate the closed sets under union and intersection, so
+    # point j lies in the least open set around point i exactly when every
+    # region holding j holds i, that is, when j's support lies inside i's.
+    nbhd = [sum(1 << j for j, d in enumerate(points) if d.support & ~c.support == 0)
+            for c in points]
     space = FiniteSpace(names, tuple(nbhd))
     return DualSpace(structure, space, tuple(points), tuple(regions), case, infinity)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boolalg import FiniteBooleanAlgebra
-from .contact import ContactRelation, check_axioms, overlap_contact
+from .contact import (ContactRelation, check_axioms, interpolation_gap, isolation_gap,
+                      overlap_contact)
 from .errors import Refusal, StructureError
 from .report import Report, Violation
 
@@ -39,10 +40,6 @@ class BoundedIdeal:
     @property
     def improper(self) -> bool:
         return self.generator == self.algebra.top
-
-    def members(self):
-        gen = self.generator
-        return (a for a in self.algebra.elements() if a | gen == gen)
 
 
 @dataclass(frozen=True)
@@ -92,48 +89,32 @@ def nca_as_lca(contact: ContactRelation) -> LocalContactAlgebra:
 
 
 def check_lca_axioms(structure: LocalContactAlgebra) -> Report:
-    """Check the three boundedness axioms exhaustively.
+    """Check the three boundedness axioms on the atom rows.
 
     BC1: bounded elements interpolate into the ideal below anything they are
     well inside of.  BC2: contact is witnessed through a bounded trace of the
     second argument.  BC3: every nonzero element has a nonzero bounded element
-    well inside it.
+    well inside it.  Each is decided in time quadratic in the atom count, with
+    the least witnesses of the scan over bounded elements and element pairs.
     """
     alg = structure.algebra
-    rel = structure.contact
-    bounded = [a for a in alg.elements() if structure.bounded(a)]
+    rows = structure.contact.rows
+    gen = structure.ideal.generator
     violations = []
 
-    witness = None
-    for a in bounded:
-        if witness:
-            break
-        for c in alg.elements():
-            if rel.way_below(a, c) and not any(
-                rel.way_below(a, b) and rel.way_below(b, c) for b in bounded
-            ):
-                witness = Violation("BC1", (alg.names_of(a), alg.names_of(c)))
-                break
-    if witness:
-        violations.append(witness)
+    j = interpolation_gap(structure.contact, gen)
+    if j is not None:  # the least c that {j} is well inside is R[j]
+        violations.append(Violation("BC1", (alg.names_of(1 << j), alg.names_of(rows[j]))))
 
-    witness = None
-    for a in alg.elements():
-        if witness:
-            break
-        for b in alg.elements():
-            if rel.contact(a, b) and not any(rel.contact(a, c & b) for c in bounded):
-                witness = Violation("BC2", (alg.names_of(a), alg.names_of(b)))
-                break
-    if witness:
-        violations.append(witness)
+    # a touching b misses b & gen exactly when R(a) meets b outside gen
+    outside = next(((1 << i, row & ~gen) for i, row in enumerate(rows) if row & ~gen), None)
+    if outside is not None:
+        atom, rest = outside
+        violations.append(Violation("BC2", (alg.names_of(atom), alg.names_of(rest & -rest))))
 
-    for a in alg.elements():
-        if a == 0:
-            continue
-        if not any(b != 0 and rel.way_below(b, a) for b in bounded):
-            violations.append(Violation("BC3", (alg.names_of(a),)))
-            break
+    i = isolation_gap(structure.contact, gen)
+    if i is not None:
+        violations.append(Violation("BC3", (alg.names_of(1 << i),)))
 
     return Report("BC axioms", tuple(violations))
 

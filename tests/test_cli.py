@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from contact_duality import jsonio
-from contact_duality.cli import main
+from contact_duality.cli import REGION_SAMPLE_CAP, main
 from contact_duality.corpus import discrete
 from contact_duality.spaces import SpaceMap
 
@@ -76,12 +76,37 @@ class TestValidate:
         assert "violated C5 at ({a0}, {a2})" in out
         assert "CA axioms: pass" in out and "connected: yes" in out
 
+    @pytest.mark.parametrize("shape, bounded, code, witness", [
+        ("overlap", 24, 0, None),
+        ("overlap", 23, 1, "violated BC2 at ({a23}, {a23})"),
+        ("path", 24, 1, "violated BC1 at ({a0}, {a0,a1})"),
+    ])
+    def test_structure_at_the_atom_cap_validates_quickly(
+            self, shape, bounded, code, witness, tmp_path, capsys):
+        path = structure_file(tmp_path, shape, 24, bounded)
+        start = time.perf_counter()
+        found, out, _ = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert found == code
+        assert ("BC axioms: pass" in out) == (witness is None)
+        assert witness is None or witness in out
+
     def test_semantic_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algebra": {"atoms": ["p"]}, "contact": [["p", "z"]]}))
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
         assert "unknown atom" in err
+
+
+def structure_file(tmp_path, shape, n, bounded):
+    """An n-atom path or overlap structure whose ideal holds the first atoms."""
+    names = [f"a{i}" for i in range(n)]
+    pairs = [[names[i], names[i + 1]] for i in range(n - 1)] if shape == "path" else []
+    doc = {"algebra": {"atoms": names}, "contact": pairs, "bounded": names[:bounded]}
+    path = tmp_path / f"{shape}{n}_{bounded}.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestClusters:
@@ -102,6 +127,15 @@ class TestClusters:
         payload = json.loads(out)
         assert payload["clusters"] == [{"support": ["p"], "bounded": True}]
         assert payload["sigma_infinity"] == {"support": ["q"]}
+
+    def test_proper_structure_at_the_atom_cap_lists_quickly(self, tmp_path, capsys):
+        path = structure_file(tmp_path, "overlap", 24, 23)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "clusters", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert out.count("cluster ") == 23
+        assert out.endswith("sigma_infinity {a23}\n")
 
 
 class TestDualizeAndLift:
@@ -201,6 +235,17 @@ class TestRegionVerb:
                              "--format", "json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("samples", [-5, -1, REGION_SAMPLE_CAP + 1, 10 ** 12])
+    def test_laws_refuse_a_sample_count_outside_the_cap(self, samples, capsys):
+        code, out, err = run(capsys, "region", "laws", "--samples", str(samples))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --samples must lie between 0 and {REGION_SAMPLE_CAP}, "
+                       f"got {samples}\n")
+
+    def test_laws_accept_zero_samples(self, capsys):
+        assert run(capsys, "region", "laws", "--samples", "0")[:2] == \
+            (0, "0 samples, seed 1729: all laws hold\n")
 
     def test_region_errors(self, capsys):
         code, _, err = run(capsys, "region", "interpolate", "[0,2]", "[0,3]")

@@ -171,6 +171,16 @@ class TestBoundedClusters:
                 assert [c.support for c in bounded_clusters(s)] == \
                        [c.support for c in enumerate_clusters(alexandroff_extension(s))]
 
+    def test_clique_path_equals_grill_oracle_on_every_structure(self):
+        # bounded_clusters filters the clique path; the oracle filters the
+        # grill scan over all supports by the element-level boundedness test
+        for n in (1, 2, 3, 4):
+            for s in ideal_structures(n):
+                ext = alexandroff_extension(s)
+                oracle = [c for c in grill_clusters(ext)
+                          if any(s.bounded(m) for m in c.members())]
+                assert bounded_clusters(s) == oracle, (s.contact.rows, s.ideal.generator)
+
     def test_overlap_with_generator_p(self):
         s = overlap_structures_with_proper_ideal(2)[0]
         assert s.ideal.generator == 0b01

@@ -4,10 +4,12 @@ The oracles are the element-level definitions the fast paths replaced: the
 Alexandroff extension as a contact predicate, well-inside as "avoids the
 complement" asked of that predicate, and the morphism checker,
 regularization, dual of a morphism and closed-embedding test written with
-those two.  The CA, NCA and CON decisions on atom rows are checked against
-the element scans check_axioms runs on an ElementContact.  Every report,
-table, assignment and refusal must agree exactly, least witnesses and
-messages included.
+those two.  The CA, NCA, CON and LL decisions on atom rows are checked
+against the element scans check_axioms runs on an ElementContact, the
+boundedness axioms against their element scan, and the dual topology
+against the closure of the regions under union and intersection.  Every
+report, table, assignment and refusal must agree exactly, least witnesses
+and messages included.
 """
 
 import random
@@ -44,6 +46,7 @@ from contact_duality.localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
     alexandroff_extension,
+    check_lca_axioms,
 )
 from contact_duality.report import Report, Violation
 from contact_duality.spaces import SpaceMap, map_predicates
@@ -129,6 +132,70 @@ def oracle_check_morphism(phi, kind="PAL"):
 
     subject = "PAL axioms" if kind == "PAL" else "DVAL axioms (improper-ideal reading)"
     return Report(subject, tuple(violations))
+
+
+def oracle_check_lca_axioms(structure):
+    """The boundedness axioms by scanning bounded elements and element pairs."""
+    alg = structure.algebra
+    rel = structure.contact
+    bounded = [a for a in alg.elements() if structure.bounded(a)]
+    violations = []
+
+    witness = None
+    for a in bounded:
+        if witness:
+            break
+        for c in alg.elements():
+            if wb(rel, a, c) and not any(wb(rel, a, b) and wb(rel, b, c) for b in bounded):
+                witness = Violation("BC1", (alg.names_of(a), alg.names_of(c)))
+                break
+    if witness:
+        violations.append(witness)
+
+    witness = None
+    for a in alg.elements():
+        if witness:
+            break
+        for b in alg.elements():
+            if rel.contact(a, b) and not any(rel.contact(a, c & b) for c in bounded):
+                witness = Violation("BC2", (alg.names_of(a), alg.names_of(b)))
+                break
+    if witness:
+        violations.append(witness)
+
+    for a in alg.elements():
+        if a == 0:
+            continue
+        if not any(b != 0 and wb(rel, b, a) for b in bounded):
+            violations.append(Violation("BC3", (alg.names_of(a),)))
+            break
+
+    return Report("BC axioms", tuple(violations))
+
+
+def oracle_dual_nbhd(regions, point_count):
+    """Least open sets of the space whose closed sets the regions generate."""
+    full = (1 << point_count) - 1
+    closed = {0, full}
+    closed.update(regions)
+    frontier = list(closed)
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in list(closed):
+                for h in (f | g, f & g):
+                    if h not in closed:
+                        closed.add(h)
+                        new.append(h)
+        frontier = new
+    nbhd = []
+    for i in range(point_count):
+        avoid = 0
+        for f in closed:
+            if not f >> i & 1:
+                avoid |= f
+        nbhd.append(full ^ avoid)
+    return tuple(nbhd)
 
 
 def oracle_regularize(phi):
@@ -436,3 +503,46 @@ class TestAxiomRows:
         # every decision is seen both passing and failing
         assert outcomes >= {("NCA", "C5"), ("NCA", "C6"), ("NCA", True),
                             ("CON", "CON"), ("CON", True)}
+
+    def test_ll_reports_equal_the_element_scan(self):
+        # all seven scans, on all 75 relations up to 4 atoms
+        outcomes = set()
+        relations = [rel for n in (1, 2, 3, 4) for rel in atom_relations(n)]
+        for rel in relations:
+            report = check_axioms(rel, "LL")
+            assert report == check_axioms(element_scan(rel), "LL"), rel.rows
+            outcomes.update(v.axiom for v in report.violations)
+            outcomes.add(report.ok)
+        assert len(relations) == 75
+        assert outcomes == {"LL5", "LL6", True, False}
+
+
+# boundedness axioms and dual topology ---------------------------------------------
+
+
+class TestBoundednessRows:
+    def test_reports_equal_the_element_scan(self):
+        outcomes = set()
+        structures = structures_up_to(4)
+        for s in structures:
+            report = check_lca_axioms(s)
+            assert report == oracle_check_lca_axioms(s), (s.contact.rows, s.ideal.generator)
+            outcomes.update(v.axiom for v in report.violations)
+            outcomes.add(report.ok)
+        assert len(structures) == 1098
+        assert outcomes == {"BC1", "BC2", "BC3", True, False}
+
+
+class TestDualTopology:
+    def test_least_open_sets_equal_the_region_closure(self):
+        built = 0
+        for s in structures_up_to(4):
+            try:
+                dual = dual_space(s, validate=False)
+            except StructureError:
+                continue  # no points: every cluster is the one at infinity
+            assert dual.space.min_nbhd == \
+                oracle_dual_nbhd(dual.regions, len(dual.clusters)), \
+                (s.contact.rows, s.ideal.generator)
+            built += 1
+        assert built == 984

@@ -1,0 +1,113 @@
+"""Property tests: atom-row decisions against the element oracles on random
+relations, and the two text parsers against arbitrary input.
+
+Skipped when Hypothesis is not installed.  conftest.py loads a derandomized
+profile, so every run draws the same examples.
+"""
+
+import copy
+import json
+import pathlib
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from contact_duality import jsonio
+from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.contact import ContactRelation, check_axioms
+from contact_duality.errors import StructureError
+from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
+from contact_duality.regions import RationalRegion
+from test_oracles import element_scan, oracle_check_lca_axioms
+
+
+@st.composite
+def relations(draw, max_atoms):
+    """A reflexive symmetric atom relation; few edges are as likely as many."""
+    n = draw(st.integers(1, max_atoms))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9, 1.0)))
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        if draw(st.floats(0, 1, exclude_max=True)) < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    algebra = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(n)))
+    return ContactRelation(algebra, tuple(rows))
+
+
+@st.composite
+def structures(draw, max_atoms):
+    rel = draw(relations(max_atoms))
+    top = rel.algebra.top
+    generator = draw(st.one_of(st.just(top), st.integers(0, top)))
+    return LocalContactAlgebra(rel, BoundedIdeal(rel.algebra, generator))
+
+
+@settings(max_examples=150)
+@given(structures(6))
+def test_boundedness_rows_equal_the_element_scan(structure):
+    assert check_lca_axioms(structure) == oracle_check_lca_axioms(structure)
+
+
+@settings(max_examples=25)
+@given(relations(5))
+def test_ll_rows_equal_the_element_scan(rel):
+    assert check_axioms(rel, "LL") == check_axioms(element_scan(rel), "LL")
+
+
+_KEYS = ("algebra", "atoms", "contact", "bounded", "points", "min_nbhd", "source",
+         "target", "assign", "table", "intervals", "p", "q", "a", "")
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+            | st.sampled_from(("p", "q", "a", "b", "1/2", "-inf", "inf", "1e400", "0/0", ""))
+            | st.text(max_size=6))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=12)
+_DOCUMENTS = [json.loads(p.read_text())
+              for p in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A document from tests/data with one subtree replaced by arbitrary JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return draw(_JSON)
+    parent[key] = draw(_JSON)
+    return doc
+
+
+def only_structure_errors(parse, text):
+    try:
+        parse(text)
+    except StructureError:
+        pass
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(max_size=40), _JSON.map(json.dumps),
+                 mutated_documents().map(json.dumps)))
+def test_json_documents_raise_only_structure_errors(text):
+    only_structure_errors(jsonio.loads, text)
+
+
+_REGION_TOKENS = ("[", "]", ",", " u ", "u", "inf", "-inf", "+", "-", "/", ".", "e",
+                  "E", "_", "0", "1", "7", "99", "empty", " ", "(", "nan", "infinity")
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(max_size=30),
+                 st.lists(st.sampled_from(_REGION_TOKENS), max_size=14).map("".join)))
+def test_region_text_raises_only_structure_errors(text):
+    only_structure_errors(RationalRegion.from_text, text)
