@@ -69,8 +69,6 @@ class FiniteBooleanAlgebra:
     def top(self) -> int:
         return self.size - 1
 
-    bottom = 0
-
     def check_element(self, a: int) -> int:
         if type(a) is not int or a < 0 or a > self.top:
             raise StructureError(f"{a!r} is not an element of a {self.atom_count}-atom algebra")
@@ -116,11 +114,6 @@ class FiniteBooleanAlgebra:
             return self.atom_names.index(name)
         except ValueError as exc:
             raise StructureError(f"unknown atom {name!r}") from exc
-
-    def atom_mask(self, index: int) -> int:
-        if not 0 <= index < self.atom_count:
-            raise StructureError(f"atom index {index} out of range")
-        return 1 << index
 
     def element_of_names(self, names: Iterable[str]) -> int:
         mask = 0

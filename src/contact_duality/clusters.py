@@ -4,13 +4,14 @@ A cluster is a maximal pairwise-touching, join-prime set of elements; on a
 finite powerset algebra every such set is the up-closure of a nonempty atom
 set, so clusters are represented by their atom support.
 
-Two enumeration backends share one output contract.  The clique path walks
-maximal cliques of the atom graph with pivoting and keeps those whose up
--closure is genuinely maximal; it is the fast path but only applies to atom
--backed relations.  The grill path iterates all atom supports and tests the
-cluster conditions directly at element level; it works for any relation with
-the shared query surface and doubles as the independent test oracle for the
-clique path.
+Two enumeration backends share one output contract, and both take a
+ContactRelation only.  The clique path walks maximal cliques of the atom
+graph with pivoting and keeps those whose up-closure is genuinely maximal.
+The grill path iterates all atom supports and tests pairwise contact and
+maximality at element level, under TABLE_ELEMENT_CAP; dual spaces are still
+built on it, and it doubles as the independent test oracle for the clique
+path.  check_cluster, the direct test of the cluster conditions, accepts any
+relation with the shared query surface.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .contact import ContactQuery, ContactRelation, ElementContact, check_axioms
-from .errors import CapExceeded, Refusal, StructureError
+from .contact import ContactQuery, ContactRelation, require_rows
+from .errors import CapExceeded, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension
 from .report import Report, Violation
 
 TABLE_ELEMENT_CAP = 1 << 16
-UNVERIFIED_TABLE_ATOM_CAP = 6  # additivity re-check is cubic in element count
 
 
 @dataclass(frozen=True)
@@ -120,26 +120,21 @@ def maximal_cliques(neighbour_rows: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def enumerate_clusters(relation: ContactQuery) -> list[Cluster]:
+def enumerate_clusters(relation: ContactRelation) -> list[Cluster]:
     """All clusters, canonically ordered by ascending support mask.
 
-    Atom-backed relations go through maximal-clique search: every cluster
-    support is a maximal clique, but a maximal clique only supports a cluster
-    when some atom's whole contact row stays inside it (otherwise the atoms
-    outside jointly touch everything and defeat maximality), so cliques are
-    filtered by that condition.  Element-backed relations go through the
-    grill brute force.
+    Every cluster support is a maximal clique of the atom graph, but a
+    maximal clique only supports a cluster when some atom's whole contact row
+    stays inside it (otherwise the atoms outside jointly touch everything and
+    defeat maximality), so cliques are filtered by that condition.
     """
-    if isinstance(relation, ContactRelation):
-        n = relation.algebra.atom_count
-        cliques = maximal_cliques(relation.rows)
-        supports = [s for s in cliques
-                    if any(relation.rows[i] & ~s == 0 for i in range(n) if s >> i & 1)]
-        return [Cluster(relation, s) for s in sorted(supports)]
-    return grill_clusters(relation)
+    rows = require_rows(relation, "cluster enumeration").rows
+    supports = [s for s in maximal_cliques(rows)
+                if any(row & ~s == 0 for i, row in enumerate(rows) if s >> i & 1)]
+    return [Cluster(relation, s) for s in sorted(supports)]
 
 
-def grill_clusters(relation: ContactQuery) -> list[Cluster]:
+def grill_clusters(relation: ContactRelation) -> list[Cluster]:
     """Brute-force cluster enumeration over all nonempty atom supports.
 
     Every join-prime upward-closed set of a finite powerset algebra is the
@@ -149,18 +144,11 @@ def grill_clusters(relation: ContactQuery) -> list[Cluster]:
     condition checker; here only pairwise contact and maximality are tested,
     at element level.
     """
+    require_rows(relation, "grill enumeration")
     alg = relation.algebra
     if alg.size > TABLE_ELEMENT_CAP:
         raise CapExceeded(
             f"grill enumeration capped at {TABLE_ELEMENT_CAP} elements, got {alg.size}")
-    if isinstance(relation, ElementContact):
-        if alg.atom_count > UNVERIFIED_TABLE_ATOM_CAP:
-            raise Refusal(
-                "additivity of an unverified element relation cannot be checked at this size")
-        ca = check_axioms(relation, "CA")
-        if not ca.ok:
-            raise Refusal("element relation fails the contact axioms", ca)
-
     contact = relation.contact
     elements = range(alg.size)
     found = []

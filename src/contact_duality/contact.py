@@ -9,10 +9,11 @@ Derived relations are atom relations too: the Alexandroff extension of a
 local contact structure only adds contact between atoms outside the ideal
 generator.  Well-inside is answered from a per-relation table of the largest
 element well inside each element, and the CA, NCA, CON and LL axioms are
-decided on the rows.  ElementContact, an element-pair relation given by a
-predicate, shares the query surface; it stays as the input of the brute-force
-oracles (the element scans of the axiom checkers and the grill cluster
-enumeration), which re-check it against the contact axioms before use.
+decided on the rows only: check_axioms refuses any other relation.
+ElementContact, an element-pair relation given by a predicate, shares the
+query surface; it is what the brute-force oracles in the tests build (the
+element scans of the axioms, the extension as a predicate), and
+check_cluster still accepts it.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ def _row_join(rows: tuple[int, ...], a: int) -> int:
 class ElementContact(ContactQuery):
     """Element-level contact relation answered by a predicate.
 
-    Only relations satisfying the basic contact axioms are sound inputs for
-    the grill-based cluster machinery, so grill_clusters re-checks every
-    element relation before enumeration.
+    Nothing checks the predicate against the contact axioms, so the axiom
+    checkers and the cluster enumerators refuse it; atom_restriction turns a
+    lawful one into a ContactRelation.
     """
 
     def __init__(self, algebra: FiniteBooleanAlgebra, predicate, *,
@@ -181,10 +182,17 @@ def atom_restriction(relation: ContactQuery) -> ContactRelation:
     return ContactRelation(algebra, tuple(rows))
 
 
+def require_rows(relation: ContactQuery, task: str) -> ContactRelation:
+    """The relation itself if it has atom rows; task names what needs them."""
+    if not isinstance(relation, ContactRelation):
+        raise StructureError(f"{task} runs on atom rows, which {relation!r} lacks")
+    return relation
+
+
 AXIOM_KINDS = ("CA", "NCA", "CON", "LL")
 
 
-def check_axioms(relation: ContactQuery, kind: str) -> Report:
+def check_axioms(relation: ContactRelation, kind: str) -> Report:
     """Check one axiom family; report the least witness per axiom.
 
     CA checks the four contact axioms, NCA adds interpolation and co-density,
@@ -192,20 +200,17 @@ def check_axioms(relation: ContactQuery, kind: str) -> Report:
     well-inside relation.  Every axiom is checked independently even when one
     is derivable from others.
 
-    A ContactRelation is decided on its atom rows, in time quadratic in the
-    atom count; the report, least witnesses included, equals the element
-    scan's.  Every kind on an ElementContact is decided by scanning elements.
+    The relation is decided on its atom rows, in time quadratic in the atom
+    count; the report, least witnesses included, equals the element scan's
+    (tests/test_oracles.py keeps the scan).  Only a ContactRelation has rows,
+    so any other relation is refused.
     """
     if kind not in AXIOM_KINDS:
         raise StructureError(f"unknown axiom kind {kind!r}; expected one of {AXIOM_KINDS}")
-    algebra = relation.algebra
-    if isinstance(relation, ContactRelation):
-        checks = _ROW_CHECKS[kind]
-    else:
-        checks = _ELEMENT_CHECKS[kind]
+    require_rows(relation, "the axiom check")
     violations = []
-    for check in checks:
-        found = check(relation, algebra)
+    for check in _ROW_CHECKS[kind]:
+        found = check(relation, relation.algebra)
         if found is not None:
             violations.append(found)
     return Report(f"{kind} axioms", tuple(violations))
@@ -213,131 +218,6 @@ def check_axioms(relation: ContactQuery, kind: str) -> Report:
 
 def _witness(algebra, axiom, *masks) -> Violation:
     return Violation(axiom, tuple(algebra.names_of(m) for m in masks))
-
-
-def _check_c1(r, alg):
-    for a in alg.elements():
-        if a != 0 and not r.contact(a, a):
-            return _witness(alg, "C1", a)
-    return None
-
-
-def _check_c2(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            if r.contact(a, b) and (a == 0 or b == 0):
-                return _witness(alg, "C2", a, b)
-    return None
-
-
-def _check_c3(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            if r.contact(a, b) and not r.contact(b, a):
-                return _witness(alg, "C3", a, b)
-    return None
-
-
-def _check_c4(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                if r.contact(a, b | c) != (r.contact(a, b) or r.contact(a, c)):
-                    return _witness(alg, "C4", a, b, c)
-    return None
-
-
-def _check_c5(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            if r.contact(a, b):
-                continue
-            if not any(not r.contact(a, c) and not r.contact(b, alg.complement(c))
-                       for c in alg.elements()):
-                return _witness(alg, "C5", a, b)
-    return None
-
-
-def _check_c6(r, alg):
-    for a in alg.elements():
-        if a == alg.top:
-            continue
-        if not any(b != 0 and not r.contact(b, a) for b in alg.elements()):
-            return _witness(alg, "C6", a)
-    return None
-
-
-def _check_con(r, alg):
-    for a in alg.elements():
-        if a in (0, alg.top):
-            continue
-        if not r.contact(a, alg.complement(a)):
-            return _witness(alg, "CON", a)
-    return None
-
-
-def _check_ll1(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            if r.way_below(a, b) and not alg.le(a, b):
-                return _witness(alg, "LL1", a, b)
-    return None
-
-
-def _check_ll2(r, alg):
-    if not r.way_below(0, 0):
-        return Violation("LL2")
-    return None
-
-
-def _check_ll3(r, alg):
-    for b in alg.elements():
-        for c in alg.elements():
-            if not r.way_below(b, c):
-                continue
-            for a in alg.elements():
-                if not alg.le(a, b):
-                    continue
-                for t in alg.elements():
-                    if alg.le(c, t) and not r.way_below(a, t):
-                        return _witness(alg, "LL3", a, b, c, t)
-    return None
-
-
-def _check_ll4(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            for c in alg.elements():
-                if r.way_below(a, c) and r.way_below(b, c) and not r.way_below(a | b, c):
-                    return _witness(alg, "LL4", a, b, c)
-    return None
-
-
-def _check_ll5(r, alg):
-    for a in alg.elements():
-        for c in alg.elements():
-            if not r.way_below(a, c):
-                continue
-            if not any(r.way_below(a, b) and r.way_below(b, c) for b in alg.elements()):
-                return _witness(alg, "LL5", a, c)
-    return None
-
-
-def _check_ll6(r, alg):
-    for a in alg.elements():
-        if a == 0:
-            continue
-        if not any(b != 0 and r.way_below(b, a) for b in alg.elements()):
-            return _witness(alg, "LL6", a)
-    return None
-
-
-def _check_ll7(r, alg):
-    for a in alg.elements():
-        for b in alg.elements():
-            if r.way_below(a, b) and not r.way_below(alg.complement(b), alg.complement(a)):
-                return _witness(alg, "LL7", a, b)
-    return None
 
 
 # Atom-row decisions.  Write R(a) for the join of the rows of a's atoms, so
@@ -418,12 +298,6 @@ def _row_ll6(r, alg):
     return None if i is None else _witness(alg, "LL6", 1 << i)
 
 
-_ELEMENT_CHECKS = {
-    "CA": (_check_c1, _check_c2, _check_c3, _check_c4),
-    "NCA": (_check_c1, _check_c2, _check_c3, _check_c4, _check_c5, _check_c6),
-    "CON": (_check_con,),
-    "LL": (_check_ll1, _check_ll2, _check_ll3, _check_ll4, _check_ll5, _check_ll6, _check_ll7),
-}
 _ROW_CHECKS = {"CA": (), "NCA": (_row_c5, _row_c6), "CON": (_row_con,),
                "LL": (_row_ll5, _row_ll6)}
 

@@ -167,17 +167,21 @@ def morphism_from_json(obj) -> AlgebraMorphism:
     source = lca_from_json(_expect(obj, "source", dict, "morphism"))
     target = lca_from_json(_expect(obj, "target", dict, "morphism"))
     table_obj = _expect(obj, "table", dict, "morphism")
-    table = [None] * source.algebra.size
+    images = {}
     for key, value in table_obj.items():
         a = element_from_key(source.algebra, key)
-        if table[a] is not None:
+        if a in images:
             raise StructureError(f"morphism: element {key!r} assigned twice")
-        table[a] = element_from_json(target.algebra, value)
-    missing = [a for a, v in enumerate(table) if v is None]
-    if missing:
-        name = element_key(source.algebra, missing[0]) or "<bottom>"
+        images[a] = element_from_json(target.algebra, value)
+    # the least missing element, by walking up over the given keys: a short
+    # table for a wide algebra costs no allocation of the algebra's size
+    missing = 0
+    while missing in images:
+        missing += 1
+    if missing < source.algebra.size:
+        name = element_key(source.algebra, missing) or "<bottom>"
         raise StructureError(f"morphism: table misses element {name!r}")
-    return AlgebraMorphism(source, target, tuple(table))
+    return AlgebraMorphism(source, target, tuple(images[a] for a in source.algebra.elements()))
 
 
 # regions ---------------------------------------------------------------------
@@ -203,18 +207,12 @@ def region_from_json(obj) -> RationalRegion:
 
 # derived listings --------------------------------------------------------------
 
-def clusters_to_json(clusters: list[Cluster], structure: LocalContactAlgebra | None,
+def clusters_to_json(clusters: list[Cluster], structure: LocalContactAlgebra,
                      infinity: Cluster | None) -> dict:
-    def one(c: Cluster) -> dict:
-        entry = {"support": list(c.support_names())}
-        if structure is not None:
-            entry["bounded"] = bool(c.support & structure.ideal.generator)
-        else:
-            entry["bounded"] = True
-        return entry
-
     return {
-        "clusters": [one(c) for c in clusters],
+        "clusters": [{"support": list(c.support_names()),
+                      "bounded": bool(c.support & structure.ideal.generator)}
+                     for c in clusters],
         "sigma_infinity": {"support": list(infinity.support_names())} if infinity else None,
     }
 

@@ -33,10 +33,10 @@ RATIONAL_DIGIT_CAP = 1000
 _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
-def _check_endpoint(value) -> Endpoint:
+def _valid_endpoint(value) -> Endpoint:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if value == NEG_INF or value == POS_INF:
         return value
@@ -88,8 +88,8 @@ class RationalRegion:
     def __post_init__(self):
         previous_hi = None
         for lo, hi in self.intervals:
-            _check_endpoint(lo)
-            _check_endpoint(hi)
+            _valid_endpoint(lo)
+            _valid_endpoint(hi)
             if not lo < hi:
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             if previous_hi is not None and not previous_hi < lo:
@@ -115,7 +115,7 @@ class RationalRegion:
         """
         cleaned = []
         for lo, hi in pairs:
-            lo, hi = _check_endpoint(lo), _check_endpoint(hi)
+            lo, hi = _valid_endpoint(lo), _valid_endpoint(hi)
             if not lo < hi:
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             cleaned.append((lo, hi))

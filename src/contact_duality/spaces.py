@@ -49,8 +49,8 @@ class FiniteSpace:
         if len(self.min_nbhd) != n:
             raise StructureError("one minimal neighbourhood per point is required")
         for x, u in enumerate(self.min_nbhd):
-            if u < 0 or u >> n:
-                raise StructureError("neighbourhood mask out of range")
+            if type(u) is not int or u < 0 or u >> n:
+                raise StructureError(f"neighbourhood mask {u!r} is not a point set of this space")
             if not u >> x & 1:
                 raise StructureError(f"point {self.points[x]!r} misses its own neighbourhood")
         for x in range(n):
@@ -178,8 +178,8 @@ class SpaceMap:
         if len(self.assignment) != self.source.point_count:
             raise StructureError("map must assign every source point")
         for v in self.assignment:
-            if not 0 <= v < self.target.point_count:
-                raise StructureError("map value out of range")
+            if type(v) is not int or not 0 <= v < self.target.point_count:
+                raise StructureError(f"map value {v!r} is not a point index of the target")
 
     def __call__(self, index: int) -> int:
         return self.assignment[index]

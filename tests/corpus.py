@@ -10,12 +10,12 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .boolalg import FiniteBooleanAlgebra
-from .contact import ContactRelation, overlap_contact
-from .duality import AlgebraMorphism, dual_of_map, regularize
-from .errors import StructureError
-from .localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
-from .spaces import FiniteSpace, SpaceMap, discrete_space
+from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.contact import ContactRelation, overlap_contact
+from contact_duality.duality import AlgebraMorphism, dual_of_map, regularize
+from contact_duality.errors import StructureError
+from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
+from contact_duality.spaces import FiniteSpace, SpaceMap, discrete_space
 
 CORPUS_SEED = 1729
 

@@ -12,7 +12,7 @@ from fractions import Fraction as Fr
 
 from contact_duality.clusters import check_cluster, enumerate_clusters, grill_clusters
 from contact_duality.contact import check_axioms, overlap_contact, universal_contact
-from contact_duality.corpus import (
+from corpus import (
     all_maps,
     all_preorder_spaces,
     atom_relations,

@@ -10,7 +10,7 @@ import pytest
 
 from contact_duality import jsonio
 from contact_duality.cli import REGION_SAMPLE_CAP, main
-from contact_duality.corpus import discrete
+from corpus import discrete
 from contact_duality.spaces import SpaceMap
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -416,3 +416,27 @@ class TestParserRejections:
         code, _, err = run(capsys, "check-morphism", str(path))
         assert code == 2
         assert "misses" in err
+
+    def test_short_table_on_a_wide_algebra_is_refused_without_its_size(self, tmp_path, capsys):
+        import tracemalloc
+
+        atoms = [f"a{i}" for i in range(24)]
+        doc = {"source": {"algebra": {"atoms": atoms}, "contact": [], "bounded": atoms},
+               "target": {"algebra": {"atoms": ["p"]}, "contact": [], "bounded": ["p"]},
+               "table": {"": [], "a0": ["p"], "a0,a1": ["p"]}}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "check-morphism", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: morphism: table misses element 'a1'\n"
+        assert peak < 4 << 20  # a table of 2**24 entries would take over 128 MiB
+        # a key assigned twice is reported before the missing element
+        doc["table"]["a1,a0"] = ["p"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check-morphism", str(path))
+        assert code == 2 and "'a1,a0' assigned twice" in err

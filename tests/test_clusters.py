@@ -13,14 +13,14 @@ from contact_duality.clusters import (
     maximal_cliques,
 )
 from contact_duality.contact import ContactRelation, ElementContact, overlap_contact
-from contact_duality.corpus import (
+from corpus import (
     atom_relations,
     ideal_structures,
     overlap_structures_with_proper_ideal,
     random_atom_relation,
     small_algebra,
 )
-from contact_duality.errors import CapExceeded, Refusal, StructureError
+from contact_duality.errors import CapExceeded, StructureError
 from contact_duality.localcontact import (
     alexandroff_extension,
     infinity_cluster,
@@ -147,15 +147,18 @@ class TestEnumeration:
 
     def test_table_cap_refusal(self):
         alg = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(17)))
-        rel = ElementContact(alg, lambda a, b: bool(a and b))
         with pytest.raises(CapExceeded):
-            grill_clusters(rel)
+            grill_clusters(overlap_contact(alg))
 
     def test_unverified_element_relation_is_checked(self):
+        # no enumerator can trust an element predicate, so both refuse it
         alg = small_algebra(2)
         broken = ElementContact(alg, lambda a, b: {a, b} == {0b01, 0b11})
-        with pytest.raises(Refusal):
-            grill_clusters(broken)
+        lawful = ElementContact(alg, lambda a, b: bool(a & b))
+        for rel in (broken, lawful):
+            for enumerate_ in (enumerate_clusters, grill_clusters):
+                with pytest.raises(StructureError, match="atom rows"):
+                    enumerate_(rel)
 
     def test_cluster_support_must_be_nonempty(self):
         r = overlap_contact(small_algebra(1))

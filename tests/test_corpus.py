@@ -1,6 +1,6 @@
 import pytest
 
-from contact_duality.corpus import all_preorder_spaces, discrete, small_algebra
+from corpus import all_preorder_spaces, discrete, small_algebra
 from contact_duality.errors import StructureError
 
 

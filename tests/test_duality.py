@@ -7,7 +7,7 @@ import contact_duality.duality as duality_module
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.clusters import grill_clusters
 from contact_duality.contact import check_axioms, overlap_contact
-from contact_duality.corpus import (
+from corpus import (
     all_maps,
     constant_to_one,
     discrete,

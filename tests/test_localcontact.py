@@ -8,7 +8,7 @@ from contact_duality.contact import (
     overlap_contact,
     universal_contact,
 )
-from contact_duality.corpus import (
+from corpus import (
     ideal_structures,
     overlap_structures_with_proper_ideal,
     validated_structures,

@@ -20,7 +20,7 @@ from contact_duality.contact import ContactRelation, check_axioms
 from contact_duality.errors import StructureError
 from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
 from contact_duality.regions import RationalRegion
-from test_oracles import element_scan, oracle_check_lca_axioms
+from test_oracles import element_scan, oracle_check_axioms, oracle_check_lca_axioms
 
 
 @st.composite
@@ -55,7 +55,7 @@ def test_boundedness_rows_equal_the_element_scan(structure):
 @settings(max_examples=25)
 @given(relations(5))
 def test_ll_rows_equal_the_element_scan(rel):
-    assert check_axioms(rel, "LL") == check_axioms(element_scan(rel), "LL")
+    assert check_axioms(rel, "LL") == oracle_check_axioms(element_scan(rel), "LL")
 
 
 _KEYS = ("algebra", "atoms", "contact", "bounded", "points", "min_nbhd", "source",

@@ -51,6 +51,14 @@ class TestNormalForm:
         with pytest.raises(StructureError):
             RationalRegion(((Fr(0), Fr(1)), (Fr(1), Fr(2))))  # touching, unmerged
 
+    def test_bool_and_float_endpoints_rejected(self):
+        for pair in ((True, 2), (0, False), (0.5, 2), (0, 2.0)):
+            with pytest.raises(StructureError, match="endpoint"):
+                RationalRegion.of(pair)
+            with pytest.raises(StructureError, match="endpoint"):
+                RationalRegion((pair,))
+        assert RationalRegion.of((NEG_INF, 2)) == RationalRegion(((NEG_INF, Fr(2)),))
+
     def test_text_round_trip(self):
         for text in ("empty", "[0,1]", "[-inf,0] u [1/2,3/4]", "[-1/3,22/7] u [5,inf]"):
             assert RationalRegion.from_text(text).to_text() == text

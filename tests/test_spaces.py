@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from contact_duality.contact import ContactRelation, check_axioms
-from contact_duality.corpus import all_maps, all_preorder_spaces, sampled_preorder_spaces
+from corpus import all_maps, all_preorder_spaces, sampled_preorder_spaces
 from contact_duality.errors import CapExceeded, Refusal, StructureError
 from contact_duality.spaces import (
     FiniteSpace,
@@ -67,6 +67,14 @@ class TestSpaceBasics:
                 sierpinski.check_set(flag)
             with pytest.raises(StructureError):
                 sierpinski.closure(flag)
+
+    def test_neighbourhoods_and_map_values_are_plain_ints(self, sierpinski):
+        for bad in (True, 1.0):
+            with pytest.raises(StructureError, match="neighbourhood mask"):
+                FiniteSpace(("a",), (bad,))
+        for bad in ((0.5, 1), (True, 1), (0, 1.0)):
+            with pytest.raises(StructureError, match="map value"):
+                SpaceMap(sierpinski, sierpinski, bad)
 
 
 class TestRegularClosed:
