@@ -18,6 +18,7 @@ morphism axioms about ideals are exercised non-vacuously here.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,12 @@ def _valid_endpoint(value) -> Endpoint:
     if value == NEG_INF or value == POS_INF:
         return value
     raise StructureError(f"endpoint must be a rational or an infinity, got {value!r}")
+
+
+def _is_infinite(value: Endpoint) -> bool:
+    # A Fraction is never infinite; asking Fraction.__eq__ about a float
+    # costs about a microsecond, the type test a few tens of nanoseconds.
+    return type(value) is not Fraction and (value == NEG_INF or value == POS_INF)
 
 
 def parse_endpoint(text: str) -> Endpoint:
@@ -88,8 +95,10 @@ class RationalRegion:
     def __post_init__(self):
         previous_hi = None
         for lo, hi in self.intervals:
-            _valid_endpoint(lo)
-            _valid_endpoint(hi)
+            if type(lo) is not Fraction:  # a Fraction needs no further check
+                _valid_endpoint(lo)
+            if type(hi) is not Fraction:
+                _valid_endpoint(hi)
             if not lo < hi:
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             if previous_hi is not None and not previous_hi < lo:
@@ -155,41 +164,75 @@ class RationalRegion:
         return all(lo != NEG_INF and hi != POS_INF for lo, hi in self.intervals)
 
     # Boolean operations ---------------------------------------------------
+    #
+    # Both operands are in normal form, so every operation below is one pass
+    # over the two sorted tuples, and the intervals it emits are already
+    # sorted: only join has touching neighbours left to merge.
 
     def join(self, other: "RationalRegion") -> "RationalRegion":
-        return _merged(list(self.intervals) + list(other.intervals))
+        a, b = self.intervals, other.intervals
+        if not a or not b:
+            return other if not a else self
+        out: list[tuple[Endpoint, Endpoint]] = []
+        i = j = 0
+        while i < len(a) or j < len(b):
+            if j == len(b) or (i < len(a) and a[i][0] <= b[j][0]):
+                lo, hi = a[i]
+                i += 1
+            else:
+                lo, hi = b[j]
+                j += 1
+            if out and lo <= out[-1][1]:
+                if out[-1][1] < hi:
+                    out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return RationalRegion(tuple(out))
 
     def meet(self, other: "RationalRegion") -> "RationalRegion":
         """Regularized intersection: single touching points vanish."""
-        pairs = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo = max(alo, blo)
-                hi = min(ahi, bhi)
-                if lo < hi:
-                    pairs.append((lo, hi))
-        return _merged(pairs)
+        a, b = self.intervals, other.intervals
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            if ahi < bhi:  # a[i] ends first and meets no later b
+                if blo < ahi:
+                    out.append((max(alo, blo), ahi))
+                i += 1
+            else:
+                if alo < bhi:
+                    out.append((max(alo, blo), bhi))
+                j += 1
+        return RationalRegion(tuple(out))
 
     def complement(self) -> "RationalRegion":
-        """Closure of the set complement: gaps get their endpoints back."""
+        """Closure of the set complement: gaps get their endpoints back.
+
+        In normal form every inner gap is nondegenerate; only the two outer
+        gaps vanish, when the region reaches an infinity.
+        """
         if not self.intervals:
             return RationalRegion.whole_line()
-        pairs = []
-        cursor = NEG_INF
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                pairs.append((cursor, lo))
-            cursor = hi
-        if cursor < POS_INF:
-            pairs.append((cursor, POS_INF))
-        return _merged(pairs)
+        ends = [NEG_INF]
+        for interval in self.intervals:
+            ends.extend(interval)
+        ends.append(POS_INF)
+        gaps = tuple(zip(ends[::2], ends[1::2]))
+        start = 1 if _is_infinite(ends[1]) else 0
+        stop = len(gaps) - 1 if _is_infinite(ends[-2]) else len(gaps)
+        return RationalRegion(gaps[start:stop])
 
     def le(self, other: "RationalRegion") -> bool:
         """Containment as point sets; the lattice order of the region algebra."""
-        return all(
-            any(blo <= alo and ahi <= bhi for blo, bhi in other.intervals)
-            for alo, ahi in self.intervals
-        )
+        b = other.intervals
+        j = 0
+        for alo, ahi in self.intervals:
+            while j < len(b) and b[j][1] < ahi:
+                j += 1
+            if j == len(b) or alo < b[j][0]:
+                return False
+        return True
 
     def __or__(self, other):
         return self.join(other)
@@ -207,23 +250,23 @@ class RationalRegion:
 
     def touches(self, other: "RationalRegion") -> bool:
         """Nonempty intersection as point sets; shared endpoints count."""
-        return any(
-            max(alo, blo) <= min(ahi, bhi)
-            for alo, ahi in self.intervals
-            for blo, bhi in other.intervals
-        )
+        a, b = self.intervals, other.intervals
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            if ahi < bhi:  # a[i] ends first and touches no later b
+                if blo <= ahi:
+                    return True
+                i += 1
+            else:
+                if alo <= bhi:
+                    return True
+                j += 1
+        return False
 
     def well_inside(self, other: "RationalRegion") -> bool:
         """Every interval sits in the interior of one interval of the other."""
-        def covered(alo, ahi) -> bool:
-            for blo, bhi in other.intervals:
-                left = blo < alo or (blo == NEG_INF and alo == NEG_INF)
-                right = ahi < bhi or (bhi == POS_INF and ahi == POS_INF)
-                if left and right:
-                    return True
-            return False
-
-        return all(covered(lo, hi) for lo, hi in self.intervals)
+        return None not in _enclosing(self, other)
 
     def well_inside_extended(self, other: "RationalRegion") -> bool:
         """Well inside for the Alexandroff extension of the bounded ideal.
@@ -237,10 +280,28 @@ class RationalRegion:
         return self.is_bounded or other.complement().is_bounded
 
 
+def _enclosing(inner: RationalRegion, outer: RationalRegion):
+    """For each interval of inner, the interval of outer holding it in its
+    interior (a ray end counts as interior at its infinity), or None.
+
+    Outer intervals are visited left to right once: one that ends before the
+    current inner interval can hold no later one either.
+    """
+    b = outer.intervals
+    j = 0
+    for lo, hi in inner.intervals:
+        while j < len(b) and not (hi < b[j][1] or (b[j][1] == POS_INF and hi == POS_INF)):
+            j += 1
+        if j < len(b) and (b[j][0] < lo or (b[j][0] == NEG_INF and lo == NEG_INF)):
+            yield b[j]
+        else:
+            yield None
+
+
 def _merged(pairs) -> RationalRegion:
-    pairs = sorted(pairs)
+    """Normal form of unsorted interval pairs: sort, then merge touching ones."""
     out: list[tuple[Endpoint, Endpoint]] = []
-    for lo, hi in pairs:
+    for lo, hi in sorted(pairs, key=operator.itemgetter(0)):
         if out and lo <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
@@ -274,10 +335,7 @@ def interpolate(inner: RationalRegion, outer: RationalRegion) -> RationalRegion:
     if not inner.well_inside(outer):
         raise Refusal("interpolation needs the inner region well inside the outer one")
     pairs = []
-    for lo, hi in inner.intervals:
-        blo, bhi = next(
-            (b for b in outer.intervals if (b[0] < lo or b[0] == NEG_INF) and (hi < b[1] or b[1] == POS_INF))
-        )
+    for (lo, hi), (blo, bhi) in zip(inner.intervals, _enclosing(inner, outer)):
         new_lo = lo - 1 if blo == NEG_INF else (lo + blo) / 2
         new_hi = hi + 1 if bhi == POS_INF else (hi + bhi) / 2
         pairs.append((new_lo, new_hi))

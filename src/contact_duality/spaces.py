@@ -221,15 +221,20 @@ class SpacePredicates:
 def space_predicates(space: FiniteSpace) -> SpacePredicates:
     """Connectedness, separation and extremal disconnectedness of a finite space.
 
-    A finite Hausdorff space is discrete; a finite space is extremally
-    disconnected exactly when closures of the basic opens are open; finite
-    spaces are always compact.
+    A finite space is connected exactly when its points are linked by the
+    graph with an edge x-y for each y in min_nbhd[x]: the component of a point
+    grows by every minimal neighbourhood it meets, and a component that meets
+    no further one is clopen.  A finite Hausdorff space is discrete; a finite
+    space is extremally disconnected exactly when closures of the basic opens
+    are open; finite spaces are always compact.
     """
-    connected = True
-    for m in range(1, space.everything):
-        if space.is_open(m) and space.is_closed(m):
-            connected = False
-            break
+    component, grown = 0, 1
+    while grown != component:
+        component = grown
+        for u in space.min_nbhd:
+            if u & component:
+                grown |= u
+    connected = component == space.everything
     hausdorff = all(u == 1 << i for i, u in enumerate(space.min_nbhd))
     extremal = all(space.is_open(space.closure(u)) for u in space.min_nbhd)
     return SpacePredicates(connected, hausdorff, extremal)
@@ -250,13 +255,16 @@ def map_predicates(f: SpaceMap) -> MapPredicates:
 
     Point inverses in a finite space are automatically compact, so perfection
     reduces to continuity plus closedness.  Closedness alone is the image
-    condition and does not imply continuity here.
+    condition and does not imply continuity here.  Every closed set is the
+    union of the closures of its points, so the map is closed exactly when
+    the image of each point closure is closed.
     """
     continuous = all(
         f.image(f.source.min_nbhd[x]) | f.target.min_nbhd[f(x)] == f.target.min_nbhd[f(x)]
         for x in range(f.source.point_count)
     )
-    closed = all(f.target.is_closed(f.image(s)) for s in f.source.closed_sets)
+    closed = all(f.target.is_closed(f.image(f.source.closure(1 << x)))
+                 for x in range(f.source.point_count))
     injective = len(set(f.assignment)) == f.source.point_count
     surjective = len(set(f.assignment)) == f.target.point_count
     dense = f.target.closure(f.image(f.source.everything)) == f.target.everything

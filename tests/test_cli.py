@@ -91,6 +91,20 @@ class TestValidate:
         assert ("BC axioms: pass" in out) == (witness is None)
         assert witness is None or witness in out
 
+    def test_indiscrete_space_and_its_identity_validate_quickly(self, tmp_path, capsys):
+        # connectedness and closedness used to scan all 2^24 point sets
+        names = [f"x{i}" for i in range(24)]
+        space = {"points": names, "min_nbhd": {name: names for name in names}}
+        identity = {"source": space, "target": space, "assign": {name: name for name in names}}
+        for doc, line in ((space, "connected: yes"), (identity, "closed: yes")):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "validate", str(path))
+            assert time.perf_counter() - start < 5.0
+            assert code == 0
+            assert line in out.splitlines()
+
     def test_semantic_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algebra": {"atoms": ["p"]}, "contact": [["p", "z"]]}))
@@ -278,6 +292,38 @@ class TestRegionVerb:
             code, out, err = run(capsys, "region", "affine", "--", *operands, "[0,1]")
             assert (code, out) == (2, "")
             assert err.startswith("error: bad rational") and "Traceback" not in err
+
+
+def intervals_text(starts, lo, hi):
+    """The region that is the union of [s + lo, s + hi] over starts."""
+    return " u ".join(f"[{s + lo},{s + hi}]" for s in starts)
+
+
+class TestLargeRegionOperands:
+    """Two 2,000-interval operands, each in the shape that scanning every pair
+    of intervals makes slowest; every operation is one pass over them."""
+
+    STARTS = range(0, 8000, 4)
+
+    @pytest.mark.parametrize("op, left, right, expected", [
+        # interleaved: every interval of one overlaps one of the other
+        ("meet", (0, 2), (1, 3), intervals_text(STARTS, 1, 2)),
+        # far apart: no interval touches any other
+        ("contact", (0, 1), (100000, 100001), "false"),
+        # equal: each interval is found at its own position
+        ("le", (0, 2), (0, 2), "true"),
+        # nested: each interval sits inside its own outer interval
+        ("waybelow", (1, 2), (0, 3), "true"),
+        ("interpolate", (1, 2), (0, 3),
+         intervals_text(STARTS, Fraction(1, 2), Fraction(5, 2))),
+    ], ids=["meet-interleaved", "contact-far-apart", "le-equal", "waybelow-nested",
+            "interpolate-nested"])
+    def test_operation_finishes_quickly(self, op, left, right, expected, capsys):
+        operands = [intervals_text(self.STARTS, *ends) for ends in (left, right)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "region", op, *operands)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, expected + "\n")
 
 
 class TestDeterminismAndRoundTrip:

@@ -10,9 +10,15 @@ boundedness axioms against their element scan, and the dual topology
 against the closure of the regions under union and intersection.  Every
 report, table, assignment and refusal must agree exactly, least witnesses
 and messages included.
+
+The region calculator's sweeps over the normal form are checked against
+the pairwise definitions they replaced, and the polynomial connectedness
+and closed-map tests against the scans over all point sets.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +33,8 @@ from contact_duality.contact import (
     overlap_contact,
 )
 from corpus import (
+    all_maps,
+    all_preorder_spaces,
     atom_relations,
     dual_morphism_corpus,
     ideal_structures,
@@ -48,8 +56,9 @@ from contact_duality.localcontact import (
     alexandroff_extension,
     check_lca_axioms,
 )
+from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, interpolate
 from contact_duality.report import Report, Violation
-from contact_duality.spaces import SpaceMap, map_predicates
+from contact_duality.spaces import SpaceMap, map_predicates, space_predicates
 from test_duality import morphism_candidates
 
 
@@ -447,6 +456,116 @@ def oracle_check_closed_embedding(phi):
     return EmbeddingResult(report.ok, report)
 
 
+# The region operations as pairwise scans, each interval against each, with
+# every result normalized by a full sort and merge: the definitions the
+# sweeps over the normal form replaced.
+
+
+def oracle_merged(pairs):
+    out = []
+    for lo, hi in sorted(pairs):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return RationalRegion(tuple(out))
+
+
+def oracle_join(f, g):
+    return oracle_merged(list(f.intervals) + list(g.intervals))
+
+
+def oracle_meet(f, g):
+    pairs = []
+    for alo, ahi in f.intervals:
+        for blo, bhi in g.intervals:
+            lo = max(alo, blo)
+            hi = min(ahi, bhi)
+            if lo < hi:
+                pairs.append((lo, hi))
+    return oracle_merged(pairs)
+
+
+def oracle_complement(f):
+    if not f.intervals:
+        return RationalRegion.whole_line()
+    pairs = []
+    cursor = NEG_INF
+    for lo, hi in f.intervals:
+        if cursor < lo:
+            pairs.append((cursor, lo))
+        cursor = hi
+    if cursor < POS_INF:
+        pairs.append((cursor, POS_INF))
+    return oracle_merged(pairs)
+
+
+def oracle_le(f, g):
+    return all(any(blo <= alo and ahi <= bhi for blo, bhi in g.intervals)
+               for alo, ahi in f.intervals)
+
+
+def oracle_touches(f, g):
+    return any(max(alo, blo) <= min(ahi, bhi)
+               for alo, ahi in f.intervals for blo, bhi in g.intervals)
+
+
+def _oracle_enclosing(lo, hi, g):
+    for blo, bhi in g.intervals:
+        left = blo < lo or (blo == NEG_INF and lo == NEG_INF)
+        right = hi < bhi or (bhi == POS_INF and hi == POS_INF)
+        if left and right:
+            return blo, bhi
+    return None
+
+
+def oracle_well_inside(f, g):
+    return all(_oracle_enclosing(lo, hi, g) is not None for lo, hi in f.intervals)
+
+
+def oracle_well_inside_extended(f, g):
+    return oracle_well_inside(f, g) and (f.is_bounded or oracle_complement(g).is_bounded)
+
+
+def oracle_interpolate(inner, outer):
+    if not inner.is_bounded:
+        raise Refusal("interpolation needs a bounded inner region")
+    if not oracle_well_inside(inner, outer):
+        raise Refusal("interpolation needs the inner region well inside the outer one")
+    pairs = []
+    for lo, hi in inner.intervals:
+        blo, bhi = _oracle_enclosing(lo, hi, outer)
+        new_lo = lo - 1 if blo == NEG_INF else (lo + blo) / 2
+        new_hi = hi + 1 if bhi == POS_INF else (hi + bhi) / 2
+        pairs.append((new_lo, new_hi))
+    return oracle_merged(pairs)
+
+
+# (name, operation on two regions, its oracle); complement ignores the second
+REGION_SWEEPS = (
+    ("join", RationalRegion.join, oracle_join),
+    ("meet", RationalRegion.meet, oracle_meet),
+    ("complement", lambda f, g: f.complement(), lambda f, g: oracle_complement(f)),
+    ("le", RationalRegion.le, oracle_le),
+    ("touches", RationalRegion.touches, oracle_touches),
+    ("well_inside", RationalRegion.well_inside, oracle_well_inside),
+    ("well_inside_extended", RationalRegion.well_inside_extended, oracle_well_inside_extended),
+    ("interpolate", interpolate, oracle_interpolate),
+)
+
+
+# Connectedness and closedness of finite spaces and maps by scans over all
+# 2^n point sets.
+
+
+def oracle_connected(space):
+    return not any(space.is_open(m) and space.is_closed(m) for m in range(1, space.everything))
+
+
+def oracle_closed(f):
+    return all(f.target.is_closed(f.image(s)) for s in f.source.closed_sets)
+
+
 # helpers -------------------------------------------------------------------
 
 
@@ -697,3 +816,73 @@ class TestDualTopology:
                 (s.contact.rows, s.ideal.generator)
             built += 1
         assert built == 984
+
+
+# region sweeps ----------------------------------------------------------------
+
+GRID = (NEG_INF, Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), POS_INF)
+
+
+def grid_regions():
+    """Every normal region of at most two intervals with endpoints on GRID."""
+    out = [RationalRegion.empty()]
+    for count in (2, 4):
+        for ends in itertools.combinations(GRID, count):
+            out.append(RationalRegion(tuple(zip(ends[::2], ends[1::2]))))
+    return out
+
+
+class TestRegionSweeps:
+    def test_sweeps_equal_the_pairwise_scans_on_the_grid(self):
+        regions = grid_regions()
+        assert len(regions) == 1 + 21 + 35
+        outcomes = {name: set() for name, _, _ in REGION_SWEEPS}
+        for f in regions:
+            for g in regions:
+                for name, fast, oracle in REGION_SWEEPS:
+                    result = outcome(fast, f, g)
+                    assert result == outcome(oracle, f, g), (name, f.to_text(), g.to_text())
+                    outcomes[name].add(result[1] if isinstance(result[1], bool) else result[0])
+        for name in ("le", "touches", "well_inside", "well_inside_extended"):
+            assert outcomes[name] == {True, False}, name
+        assert outcomes["interpolate"] == {"value", "Refusal"}
+
+    def test_normal_form_of_unsorted_pairs_equals_the_full_sort(self):
+        intervals = list(itertools.combinations(GRID, 2))
+        for pairs in itertools.product(intervals, repeat=2):
+            assert RationalRegion.of(*pairs) == oracle_merged(pairs), pairs
+
+
+# space and map predicates ----------------------------------------------------------
+
+
+class TestSpacePredicates:
+    SPACES = {n: all_preorder_spaces(n) for n in (1, 2, 3, 4)}
+
+    def test_connectedness_equals_the_clopen_scan(self):
+        spaces = [space for n in (1, 2, 3, 4) for space in self.SPACES[n]]
+        assert len(spaces) == 389
+        verdicts = set()
+        for space in spaces:
+            connected = space_predicates(space).connected
+            assert connected == oracle_connected(space), space.min_nbhd
+            verdicts.add(connected)
+        assert verdicts == {True, False}
+
+    def test_closedness_equals_the_closed_set_scan(self):
+        # every map between spaces of at most 3 points, and every map between
+        # a 4-point space and a 2-point space in either direction (all maps
+        # between 4-point spaces would be 355 * 355 * 256 of them)
+        small = [space for n in (1, 2, 3) for space in self.SPACES[n]]
+        pairs = [(a, b) for a in small for b in small]
+        pairs += [pair for a in self.SPACES[4] for b in self.SPACES[2] for pair in ((a, b), (b, a))]
+        verdicts = set()
+        count = 0
+        for source, target in pairs:
+            for f in all_maps(source, target):
+                closed = map_predicates(f).closed
+                assert closed == oracle_closed(f), (source.min_nbhd, target.min_nbhd, f.assignment)
+                verdicts.add(closed)
+                count += 1
+        assert count == 24872 + 2 * 355 * 4 * 16
+        assert verdicts == {True, False}

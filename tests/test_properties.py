@@ -1,5 +1,6 @@
 """Property tests: atom-row decisions against the element oracles on random
-relations, and the two text parsers against arbitrary input.
+relations, the region sweeps against the pairwise scans on random regions,
+and the two text parsers against arbitrary input.
 
 Skipped when Hypothesis is not installed.  conftest.py loads a derandomized
 profile, so every run draws the same examples.
@@ -8,6 +9,7 @@ profile, so every run draws the same examples.
 import copy
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +21,15 @@ from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import ContactRelation, check_axioms
 from contact_duality.errors import StructureError
 from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
-from contact_duality.regions import RationalRegion
-from test_oracles import element_scan, oracle_check_axioms, oracle_check_lca_axioms
+from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, expand
+from test_oracles import (
+    REGION_SWEEPS,
+    element_scan,
+    oracle_check_axioms,
+    oracle_check_lca_axioms,
+    oracle_merged,
+    outcome,
+)
 
 
 @st.composite
@@ -56,6 +65,40 @@ def test_boundedness_rows_equal_the_element_scan(structure):
 @given(relations(5))
 def test_ll_rows_equal_the_element_scan(rel):
     assert check_axioms(rel, "LL") == oracle_check_axioms(element_scan(rel), "LL")
+
+
+# Endpoints on a half-integer grid, so that two drawn regions often share
+# endpoints and touch.
+_ENDPOINTS = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def regions(draw, max_intervals=8):
+    """A normal region of up to max_intervals intervals, possibly with rays."""
+    ends = sorted(draw(st.sets(_ENDPOINTS, max_size=2 * max_intervals)))
+    ends = ends[:len(ends) // 2 * 2]
+    if ends and draw(st.booleans()):
+        ends[0] = NEG_INF
+    if ends and draw(st.booleans()):
+        ends[-1] = POS_INF
+    return RationalRegion(tuple(zip(ends[::2], ends[1::2])))
+
+
+@settings(max_examples=300)
+@given(regions(), regions())
+def test_region_sweeps_equal_the_pairwise_scans(f, g):
+    # In the second pair a bounded part of f sits well inside the outer
+    # region, so le, well_inside and interpolate also run to the last interval.
+    inner = f & RationalRegion.of((Fraction(-5), Fraction(5)))
+    for left, right in ((f, g), (inner, g | expand(f, Fraction(1, 4)))):
+        for name, fast, oracle in REGION_SWEEPS:
+            assert outcome(fast, left, right) == outcome(oracle, left, right), name
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS).filter(lambda p: p[0] < p[1]), max_size=10))
+def test_normal_form_of_unsorted_pairs_equals_the_full_sort(pairs):
+    assert RationalRegion.of(*pairs) == oracle_merged(pairs)
 
 
 _KEYS = ("algebra", "atoms", "contact", "bounded", "points", "min_nbhd", "source",
