@@ -39,8 +39,10 @@ def _valid_endpoint(value) -> Endpoint:
         return value
     if type(value) is int:
         return Fraction(value)
-    if value == NEG_INF or value == POS_INF:
-        return value
+    if value == NEG_INF:
+        return NEG_INF
+    if value == POS_INF:
+        return POS_INF
     raise StructureError(f"endpoint must be a rational or an infinity, got {value!r}")
 
 
@@ -93,17 +95,27 @@ class RationalRegion:
     intervals: tuple[tuple[Endpoint, Endpoint], ...]
 
     def __post_init__(self):
+        # An int endpoint is stored as a Fraction, and an infinity as NEG_INF
+        # or POS_INF; the tuple is rebuilt only when an endpoint changes.
         previous_hi = None
+        changed = False
         for lo, hi in self.intervals:
             if type(lo) is not Fraction:  # a Fraction needs no further check
-                _valid_endpoint(lo)
+                valid = _valid_endpoint(lo)
+                changed |= valid is not lo
+                lo = valid
             if type(hi) is not Fraction:
-                _valid_endpoint(hi)
+                valid = _valid_endpoint(hi)
+                changed |= valid is not hi
+                hi = valid
             if not lo < hi:
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             if previous_hi is not None and not previous_hi < lo:
                 raise StructureError("intervals must be sorted, disjoint and non-touching")
             previous_hi = hi
+        if changed:
+            object.__setattr__(self, "intervals", tuple(
+                (_valid_endpoint(lo), _valid_endpoint(hi)) for lo, hi in self.intervals))
 
     # construction ---------------------------------------------------------
 

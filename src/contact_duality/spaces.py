@@ -112,10 +112,6 @@ class FiniteSpace:
         return self.closure(m) == m
 
     @cached_property
-    def closed_sets(self) -> tuple[int, ...]:
-        return tuple(m for m in range(self.everything + 1) if self.is_closed(m))
-
-    @cached_property
     def rc(self) -> "RegularClosedAlgebra":
         """Regular closed algebra, built and verified once; see rc_algebra."""
         return _build_rc_algebra(self)

@@ -9,6 +9,10 @@ from fractions import Fraction
 import pytest
 
 from contact_duality import jsonio
+from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.contact import overlap_contact
+from contact_duality.duality import identity_morphism
+from contact_duality.localcontact import nca_as_lca
 from contact_duality.cli import REGION_SAMPLE_CAP, main
 from corpus import discrete
 from contact_duality.spaces import SpaceMap
@@ -205,6 +209,29 @@ class TestMapsAndMorphisms:
         assert code == 0
         assert "PAL axioms: pass" in out
 
+    @pytest.mark.parametrize("verb", ["check-morphism", "validate"])
+    def test_identity_morphism_on_fourteen_atoms_checks_quickly(self, verb, tmp_path, capsys):
+        # the element walk visited 4^14 pairs for PAL2 and again for PAL3
+        algebra = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(14)))
+        structure = nca_as_lca(overlap_contact(algebra))
+        path = tmp_path / "identity14.json"
+        path.write_text(jsonio.dumps(jsonio.morphism_to_json(identity_morphism(structure))))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, verb, str(path))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "PAL axioms: pass\n")
+
+    def test_table_failing_meets_names_its_least_witness(self, tmp_path, capsys):
+        doc = json.loads((DATA / "identity_morphism_2.json").read_text())
+        doc["table"]["q"] = ["p"]
+        path = tmp_path / "not_meet_preserving.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check-morphism", str(path))
+        assert code == 1
+        assert out == ("PAL axioms: fail\n"
+                       "  violated PAL2 at ({p}, {q})\n"
+                       "  violated PAL3 at ({p}, {p})\n")
+
     def test_compose_swap_with_itself_is_identity(self, capsys):
         code, out, _ = run(capsys, "compose", str(DATA / "swap_dual_morphism.json"),
                            str(DATA / "swap_dual_morphism.json"), "--format", "json")
@@ -241,6 +268,15 @@ class TestRegionVerb:
         assert run(capsys, "region", "bounded", "[-inf,0]")[1].strip() == "false"
         assert run(capsys, "region", "interpolate", "[0,1]", "[-1,2]")[1].strip() == "[-1/2,3/2]"
         assert run(capsys, "region", "affine", "2", "0", "[0,2]")[1].strip() == "[0,1]"
+
+    def test_options_go_before_the_operation(self, capsys):
+        # a negative fractional slope needs "--", which argparse accepts
+        # only after the operation; options such as --format come before it
+        code, out, _ = run(capsys, "region", "--format", "json", "affine", "--", "-1/2", "0",
+                           "[0,1]")
+        assert code == 0
+        assert json.loads(out) == {"intervals": [["-2", "0"]]}
+        assert run(capsys, "region", "affine", "--", "-1/2", "0", "[0,1]")[:2] == (0, "[-2,0]\n")
 
     def test_laws_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "region", "laws", "--samples", "200", "--seed", "3",

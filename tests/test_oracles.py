@@ -562,8 +562,12 @@ def oracle_connected(space):
     return not any(space.is_open(m) and space.is_closed(m) for m in range(1, space.everything))
 
 
+def oracle_closed_sets(space):
+    return tuple(m for m in range(space.everything + 1) if space.is_closed(m))
+
+
 def oracle_closed(f):
-    return all(f.target.is_closed(f.image(s)) for s in f.source.closed_sets)
+    return all(f.target.is_closed(f.image(s)) for s in oracle_closed_sets(f.source))
 
 
 # helpers -------------------------------------------------------------------
@@ -700,6 +704,82 @@ class TestMorphismCalculus:
         for phi in corpus:
             assert outcome(check_closed_embedding, phi) == \
                 outcome(oracle_check_closed_embedding, phi), phi.table
+
+
+def filter_table(source, target, least):
+    """The meet-preserving table in which target atom t lies in the image of
+    exactly the elements above least[t], or of none when least[t] is None."""
+    return tuple(_join(1 << t for t, m in enumerate(least) if m is not None and a | m == a)
+                 for a in source.algebra.elements())
+
+
+def one_entry_changes(phi):
+    """phi with any one entry of its table replaced by another value."""
+    B = phi.target.algebra
+    return [AlgebraMorphism(phi.source, phi.target, phi.table[:a] + (v,) + phi.table[a + 1:])
+            for a in phi.source.algebra.elements() for v in B.elements() if v != phi.table[a]]
+
+
+def seeded_filter_tables(seed=1907):
+    """Filter-built tables between seeded 3- and 4-atom structures, each
+    followed by a copy with one seeded entry changed, which mostly breaks PAL2."""
+    rng = random.Random(seed)
+    pool = ideal_structures(3) + rng.sample(ideal_structures(4), 60)
+    out = []
+    for _ in range(300):
+        s, t = rng.choice(pool), rng.choice(pool)
+        A, B = s.algebra, t.algebra
+        gen = s.ideal.generator
+        least = [rng.choice((None, rng.randrange(A.size), rng.randrange(A.size) & gen))
+                 for _ in range(B.atom_count)]
+        phi = AlgebraMorphism(s, t, filter_table(s, t, least))
+        a = rng.randrange(A.size)
+        changed = phi.table[a] ^ 1 << rng.randrange(B.atom_count)
+        out += [phi, AlgebraMorphism(s, t, phi.table[:a] + (changed,) + phi.table[a + 1:])]
+    return out
+
+
+def report_axioms(phis):
+    """Check every table on both readings against the oracle; return the
+    axioms violated, for the coverage checks."""
+    seen = set()
+    for phi in phis:
+        for kind in ("PAL", "DVAL"):
+            report = check_morphism(phi, kind)
+            assert report == oracle_check_morphism(phi, kind), (kind, phi.table)
+            seen.update(v.axiom for v in report.violations)
+    return seen
+
+
+class TestMorphismAxiomsPerAtom:
+    """check_morphism decides a meet-preserving table per target atom and
+    walks elements only when PAL2 fails; both must give the oracle's report."""
+
+    STRUCTURES = structures_up_to(2)
+
+    def meet_preserving(self):
+        out = []
+        for s in self.STRUCTURES:
+            for t in self.STRUCTURES:
+                choices = [None] + list(s.algebra.elements())
+                for least in itertools.product(choices, repeat=t.algebra.atom_count):
+                    out.append(AlgebraMorphism(s, t, filter_table(s, t, least)))
+        return out
+
+    def test_every_meet_preserving_table_up_to_two_atoms(self):
+        phis = self.meet_preserving()
+        assert len(phis) == 1836
+        assert report_axioms(phis) == {"PAL1", "PAL3", "PAL4", "PAL5", "PAL6"}
+
+    def test_every_table_one_entry_away(self):
+        phis = [changed for phi in self.meet_preserving() for changed in one_entry_changes(phi)]
+        assert len(phis) == 20408
+        assert report_axioms(phis) == {"PAL1", "PAL2", "PAL3", "PAL4", "PAL5", "PAL6"}
+
+    def test_seeded_filter_tables_on_three_and_four_atoms(self):
+        phis = seeded_filter_tables()
+        assert {phi.source.algebra.atom_count for phi in phis} == {3, 4}
+        assert report_axioms(phis) == {"PAL1", "PAL2", "PAL3", "PAL4", "PAL5", "PAL6"}
 
 
 # axiom checks on atom rows ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Property tests: atom-row decisions against the element oracles on random
-relations, the region sweeps against the pairwise scans on random regions,
-and the two text parsers against arbitrary input.
+relations and morphism tables, the region sweeps against the pairwise scans
+on random regions, and the two text parsers against arbitrary input.
 
 Skipped when Hypothesis is not installed.  conftest.py loads a derandomized
 profile, so every run draws the same examples.
@@ -19,14 +19,17 @@ from hypothesis import given, settings, strategies as st
 from contact_duality import jsonio
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import ContactRelation, check_axioms
+from contact_duality.duality import AlgebraMorphism, check_morphism
 from contact_duality.errors import StructureError
 from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
 from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, expand
 from test_oracles import (
     REGION_SWEEPS,
     element_scan,
+    filter_table,
     oracle_check_axioms,
     oracle_check_lca_axioms,
+    oracle_check_morphism,
     oracle_merged,
     outcome,
 )
@@ -65,6 +68,28 @@ def test_boundedness_rows_equal_the_element_scan(structure):
 @given(relations(5))
 def test_ll_rows_equal_the_element_scan(rel):
     assert check_axioms(rel, "LL") == oracle_check_axioms(element_scan(rel), "LL")
+
+
+@st.composite
+def morphisms(draw, max_atoms):
+    """A meet-preserving table between two structures: each target atom lies
+    in the image of none or of all the elements above some element; half the
+    time one entry is then changed, which mostly breaks PAL2."""
+    source, target = draw(structures(max_atoms)), draw(structures(max_atoms))
+    top = source.algebra.top
+    least = draw(st.lists(st.none() | st.integers(0, top),
+                          min_size=target.algebra.atom_count, max_size=target.algebra.atom_count))
+    table = list(filter_table(source, target, least))
+    if draw(st.booleans()):
+        table[draw(st.integers(0, top))] = draw(st.integers(0, target.algebra.top))
+    return AlgebraMorphism(source, target, tuple(table))
+
+
+@settings(max_examples=150)
+@given(morphisms(5))
+def test_morphism_axioms_equal_the_element_walk(phi):
+    for kind in ("PAL", "DVAL"):
+        assert check_morphism(phi, kind) == oracle_check_morphism(phi, kind)
 
 
 # Endpoints on a half-integer grid, so that two drawn regions often share

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import pytest
@@ -58,6 +59,17 @@ class TestNormalForm:
             with pytest.raises(StructureError, match="endpoint"):
                 RationalRegion((pair,))
         assert RationalRegion.of((NEG_INF, 2)) == RationalRegion(((NEG_INF, Fr(2)),))
+
+    def test_constructor_stores_fractions_and_the_module_infinities(self):
+        ints = RationalRegion(((0, 1),))
+        assert ints.intervals == ((Fr(0), Fr(1)),)
+        assert all(type(end) is Fr for end in ints.intervals[0])
+        assert ints == RationalRegion.of((0, 1)) and hash(ints) == hash(RationalRegion.of((0, 1)))
+        assert interpolate(ints, RationalRegion(((-1, 2),))) == region((Fr(-1, 2), Fr(3, 2)))
+        rays = RationalRegion(((Decimal("-Infinity"), 0), (1, Decimal("Infinity"))))
+        assert rays.intervals[0][0] is NEG_INF and rays.intervals[1][1] is POS_INF
+        kept = ((Fr(0), Fr(1)), (Fr(2), POS_INF))
+        assert RationalRegion(kept).intervals is kept
 
     def test_text_round_trip(self):
         for text in ("empty", "[0,1]", "[-inf,0] u [1/2,3/4]", "[-1/3,22/7] u [5,inf]"):
