@@ -15,7 +15,6 @@ from .clusters import (
     check_cluster,
     enumerate_clusters,
     grill_clusters,
-    is_cluster,
     maximal_cliques,
 )
 from .contact import (

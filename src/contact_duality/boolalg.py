@@ -8,6 +8,9 @@ int subclasses are refused) within the algebra's width, which makes
 accidental mixing of algebras detectable.  The atom count, size and top are
 computed once per algebra, so that check is a few comparisons.
 
+atom_join and atom_unions join a value per atom over the atoms of a mask;
+contact reach, regular closed point sets and dual-space regions all use them.
+
 The default atom cap of 24 keeps exhaustive element enumeration feasible in
 tests; the CONTACT_DUALITY_MAX_ATOMS environment variable raises it at the
 caller's risk.
@@ -109,10 +112,14 @@ class FiniteBooleanAlgebra:
         self.check_element(a)
         return [i for i in range(self.atom_count) if a >> i & 1]
 
+    @cached_property
+    def _atom_positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.atom_names)}
+
     def atom_index(self, name: str) -> int:
         try:
-            return self.atom_names.index(name)
-        except ValueError as exc:
+            return self._atom_positions[name]
+        except (KeyError, TypeError) as exc:
             raise StructureError(f"unknown atom {name!r}") from exc
 
     def element_of_names(self, names: Iterable[str]) -> int:
@@ -123,3 +130,24 @@ class FiniteBooleanAlgebra:
 
     def names_of(self, a: int) -> tuple[str, ...]:
         return tuple(self.atom_names[i] for i in self.atoms_of(a))
+
+
+def atom_join(values, a: int) -> int:
+    """Join of values[i] over the atoms i of a, lowest atom first."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= values[low.bit_length() - 1]
+        a ^= low
+    return out
+
+
+def atom_unions(values) -> tuple[int, ...]:
+    """atom_join(values, a) for every a below 2^len(values), in one step per
+    entry: the entry of a is the entry without a's lowest atom joined with
+    that atom's value."""
+    table = [0]
+    for a in range(1, 1 << len(values)):
+        low = a & -a
+        table.append(table[a ^ low] | values[low.bit_length() - 1])
+    return tuple(table)

@@ -84,10 +84,6 @@ def check_cluster(relation: ContactQuery, members: Iterable[int]) -> Report:
     return Report("cluster conditions")
 
 
-def is_cluster(relation: ContactQuery, members: Iterable[int]) -> bool:
-    return check_cluster(relation, members).ok
-
-
 def maximal_cliques(neighbour_rows: tuple[int, ...]) -> list[int]:
     """All maximal cliques of an undirected graph, as vertex masks.
 

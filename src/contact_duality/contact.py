@@ -7,9 +7,11 @@ atoms, which collapses storage from square-of-element-count to square-of-atom
 
 Derived relations are atom relations too: the Alexandroff extension of a
 local contact structure only adds contact between atoms outside the ideal
-generator.  Well-inside is answered from a per-relation table of the largest
-element well inside each element, and the CA, NCA, CON and LL axioms are
-decided on the rows only: check_axioms refuses any other relation.
+generator.  Each relation keeps one table, of everything each element
+touches; well-inside is read from it by complement (b is well inside c
+exactly when b avoids what the complement of c touches), and the CA, NCA,
+CON and LL axioms are decided on the rows only: check_axioms refuses any
+other relation.
 ElementContact, an element-pair relation given by a predicate, shares the
 query surface; it is what the brute-force oracles in the tests build (the
 element scans of the axioms, the extension as a predicate), and
@@ -21,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .boolalg import FiniteBooleanAlgebra
+from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions
 from .errors import CapExceeded, StructureError
 from .report import Report, Violation
 
 ISO_ATOM_CAP = 10
-_TABLE_LIMIT = 16  # memoized per-element reach and inner masks only below this width
+_TABLE_LIMIT = 16  # the per-element reach table is kept only up to this width
 
 
 class ContactQuery:
@@ -70,15 +72,10 @@ class ContactRelation(ContactQuery):
 
     @cached_property
     def _reach(self) -> tuple[int, ...] | None:
+        """R(a) for every a: the join of the rows of a's atoms, everything a touches."""
         if self.algebra.atom_count > _TABLE_LIMIT:
             return None
-        reach = [0] * self.algebra.size
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for a in range(self.algebra.size):
-                if a & bit:
-                    reach[a] |= row
-        return tuple(reach)
+        return atom_unions(self.rows)
 
     def contact(self, a: int, b: int) -> bool:
         self.algebra.check_element(a)
@@ -86,30 +83,20 @@ class ContactRelation(ContactQuery):
         reach = self._reach
         if reach is not None:
             return reach[a] & b != 0
-        return _row_join(self.rows, a) & b != 0
-
-    @cached_property
-    def _inner(self) -> tuple[int, ...] | None:
-        if self.algebra.atom_count > _TABLE_LIMIT:
-            return None
-        return tuple(self._rows_inside(c) for c in self.algebra.elements())
-
-    def _rows_inside(self, c: int) -> int:
-        out = 0
-        for i, row in enumerate(self.rows):
-            if row & ~c == 0:
-                out |= 1 << i
-        return out
+        return atom_join(self.rows, a) & b != 0
 
     def inner(self, c: int) -> int:
         """Largest element well inside c: the join of the atoms whose row lies in c.
 
         b is well inside c exactly when b lies below inner(c), since b avoids
-        the complement of c exactly when every atom of b does.
+        the complement of c exactly when every atom of b does.  The rows are
+        symmetric, so atom i's row lies in c exactly when the complement of c
+        does not touch i: inner(c) is the complement of R(top ^ c).
         """
-        self.algebra.check_element(c)
-        table = self._inner
-        return self._rows_inside(c) if table is None else table[c]
+        top = self.algebra.top
+        outside = top ^ self.algebra.check_element(c)
+        reach = self._reach
+        return top ^ (atom_join(self.rows, outside) if reach is None else reach[outside])
 
     def way_below(self, a: int, b: int) -> bool:
         inner = self.inner(b)
@@ -119,16 +106,6 @@ class ContactRelation(ContactQuery):
         """Strictly-above-diagonal atom pairs in contact, ascending."""
         n = self.algebra.atom_count
         return [(i, j) for i in range(n) for j in range(i + 1, n) if self.rows[i] >> j & 1]
-
-
-def _row_join(rows: tuple[int, ...], a: int) -> int:
-    """Join of the rows of a's atoms: everything a touches."""
-    out = 0
-    while a:
-        low = a & -a
-        out |= rows[low.bit_length() - 1]
-        a ^= low
-    return out
 
 
 class ElementContact(ContactQuery):
@@ -237,7 +214,7 @@ def _row_c5(r, alg):
     # R(R({i})) larger than R({i}), and the least b is {j} for the least
     # atom j in the difference.
     for i, row in enumerate(r.rows):
-        outside = _row_join(r.rows, row) & ~row
+        outside = atom_join(r.rows, row) & ~row
         if outside:
             return _witness(alg, "C5", 1 << i, outside & -outside)
     return None
@@ -264,10 +241,10 @@ def _row_con(r, alg):
     least = alg.top
     while left:
         component = left & -left
-        grown = _row_join(r.rows, component)
+        grown = atom_join(r.rows, component)
         while grown != component:
             component = grown
-            grown = _row_join(r.rows, component)
+            grown = atom_join(r.rows, component)
         least = min(least, component)
         left &= ~component
     return None if least == alg.top else _witness(alg, "CON", least)
@@ -275,10 +252,11 @@ def _row_con(r, alg):
 
 def interpolation_gap(relation: ContactRelation, bound: int) -> int | None:
     """Least atom j of bound with no b below bound such that {j} << b << R[j];
-    the largest candidate b is inner(R[j]) & bound.  Decides BC1, and LL5 at top."""
-    inside = relation._rows_inside
-    return next((j for j, row in enumerate(relation.rows)
-                 if bound >> j & 1 and not inside(inside(row) & bound) >> j & 1), None)
+    the largest candidate b is inner(R[j]) & bound, and {j} << b exactly when
+    R[j] lies in b.  Decides BC1, and LL5 at top."""
+    rows, top = relation.rows, relation.algebra.top
+    return next((j for j, row in enumerate(rows)
+                 if bound >> j & 1 and row & ~(bound & ~atom_join(rows, top ^ row))), None)
 
 
 def isolation_gap(relation: ContactRelation, bound: int) -> int | None:

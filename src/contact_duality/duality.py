@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
+from .boolalg import atom_join, atom_unions
 from .clusters import Cluster, check_cluster, grill_clusters
-from .contact import ContactRelation, _row_join
+from .contact import ContactRelation
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import (
     BoundedIdeal,
@@ -135,7 +136,7 @@ def _monotone_witnesses(src: LocalContactAlgebra, tgt: LocalContactAlgebra,
     rows, eta = src.contact.rows, tgt.contact
     found = {}
     for a in src_bounded:
-        least = _row_join(rows, a)
+        least = atom_join(rows, a)
         inner = eta.inner(table[least])
         if B.top ^ table[A.top ^ a] | inner != inner:
             found["PAL3"] = Violation("PAL3", (A.names_of(a), A.names_of(least)))
@@ -312,19 +313,15 @@ def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
     names = tuple("{" + ",".join(c.support_names()) + "}" for c in points)
     # The region of a holds the points whose support meets a: it is the join
     # of the regions of a's atoms.
-    atom_regions = [sum(1 << i for i, c in enumerate(points) if c.support >> k & 1)
-                    for k in range(alg.atom_count)]
-    regions = [0]
-    for a in range(1, alg.size):
-        low = a & -a
-        regions.append(regions[a ^ low] | atom_regions[low.bit_length() - 1])
+    regions = atom_unions([sum(1 << i for i, c in enumerate(points) if c.support >> k & 1)
+                           for k in range(alg.atom_count)])
     # The regions generate the closed sets under union and intersection, so
     # point j lies in the least open set around point i exactly when every
     # region holding j holds i, that is, when j's support lies inside i's.
     nbhd = [sum(1 << j for j, d in enumerate(points) if d.support & ~c.support == 0)
             for c in points]
     space = FiniteSpace(names, tuple(nbhd))
-    return DualSpace(structure, space, tuple(points), tuple(regions), case, infinity)
+    return DualSpace(structure, space, tuple(points), regions, case, infinity)
 
 
 def verify_double_dual(structure: LocalContactAlgebra, dual: DualSpace) -> Report:
@@ -395,10 +392,8 @@ def point_embedding(space: FiniteSpace) -> PointEmbedding:
 
 def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
     rc = rc_algebra(space)
-    sigma = tuple(
-        frozenset(e for e in rc.algebra.elements() if rc.to_pointset(e) >> x & 1)
-        for x in range(space.point_count)
-    )
+    sigma = tuple(frozenset(e for e, f in enumerate(rc.pointsets) if f >> x & 1)
+                  for x in range(space.point_count))
     if not space_predicates(space).hausdorff:
         return PointEmbedding(
             space, rc, sigma, None, None, False,
@@ -449,8 +444,7 @@ def dual_of_map(f: SpaceMap) -> AlgebraMorphism:
     rc_src = rc_algebra(f.source)
     rc_tgt = rc_algebra(f.target)
     table = []
-    for e in rc_tgt.algebra.elements():
-        pointset = rc_tgt.to_pointset(e)
+    for pointset in rc_tgt.pointsets:
         pulled = f.source.closure(f.preimage(f.target.interior(pointset)))
         table.append(rc_src.to_element(pulled))
     return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), tuple(table))

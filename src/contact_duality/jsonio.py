@@ -114,6 +114,7 @@ def space_from_json(obj) -> FiniteSpace:
     if not all(isinstance(p, str) for p in points):
         raise StructureError("space: point names must be strings")
     space_points = tuple(points)
+    position = {p: i for i, p in enumerate(space_points)}
     masks = []
     for p in space_points:
         if p not in nbhd_obj:
@@ -123,9 +124,10 @@ def space_from_json(obj) -> FiniteSpace:
             raise StructureError("space: neighbourhoods must be arrays of point names")
         mask = 0
         for name in names:
-            if name not in space_points:
-                raise StructureError(f"space: unknown point {name!r} in a neighbourhood")
-            mask |= 1 << space_points.index(name)
+            try:
+                mask |= 1 << position[name]
+            except (KeyError, TypeError) as exc:
+                raise StructureError(f"space: unknown point {name!r} in a neighbourhood") from exc
         masks.append(mask)
     extra = set(nbhd_obj) - set(space_points)
     if extra:

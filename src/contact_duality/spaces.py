@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .boolalg import FiniteBooleanAlgebra
+from .boolalg import FiniteBooleanAlgebra, atom_unions
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
 from .localcontact import BoundedIdeal, LocalContactAlgebra
@@ -73,10 +73,14 @@ class FiniteSpace:
             raise StructureError(f"{m!r} is not a point set of this space")
         return m
 
+    @cached_property
+    def _point_positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.points)}
+
     def point_index(self, name: str) -> int:
         try:
-            return self.points.index(name)
-        except ValueError as exc:
+            return self._point_positions[name]
+        except (KeyError, TypeError) as exc:
             raise StructureError(f"unknown point {name!r}") from exc
 
     def set_of_names(self, names) -> int:
@@ -316,10 +320,10 @@ class RegularClosedAlgebra:
 
     carrier holds the regular closed point sets ascending; atoms are its
     minimal nonzero members.  algebra is the powerset over those atoms, with
-    one named atom per minimal set, and contact is nonempty intersection of
-    the underlying point sets.  Finite spaces are compact, so every regular
-    closed set is bounded and the exported local structure has the improper
-    ideal.
+    one named atom per minimal set, pointsets holds the point set of each
+    element, and contact is nonempty intersection of the underlying point
+    sets.  Finite spaces are compact, so every regular closed set is bounded
+    and the exported local structure has the improper ideal.
     """
 
     space: FiniteSpace
@@ -328,22 +332,22 @@ class RegularClosedAlgebra:
     algebra: FiniteBooleanAlgebra
     contact: ContactRelation
 
+    @cached_property
+    def pointsets(self) -> tuple[int, ...]:
+        """The union of the atoms of each element, in element order."""
+        return atom_unions(self.atoms)
+
     def to_element(self, pointset: int) -> int:
         mask = 0
         for k, atom in enumerate(self.atoms):
             if atom & pointset == atom:
                 mask |= 1 << k
-        if self.to_pointset(mask) != pointset:
+        if self.pointsets[mask] != pointset:
             raise StructureError("point set is not regular closed in this space")
         return mask
 
     def to_pointset(self, element: int) -> int:
-        self.algebra.check_element(element)
-        out = 0
-        for k, atom in enumerate(self.atoms):
-            if element >> k & 1:
-                out |= atom
-        return out
+        return self.pointsets[self.algebra.check_element(element)]
 
     def lca(self) -> LocalContactAlgebra:
         """The structure with the improper ideal, the same object on every call,
@@ -401,20 +405,10 @@ def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
 
     if len(carrier) != 1 << len(atoms):
         raise StructureError("regular closed carrier is not a powerset of its atoms")
-    union_of = {}
-    for mask in range(1 << len(atoms)):
-        u = 0
-        for k, atom in enumerate(atoms):
-            if mask >> k & 1:
-                u |= atom
-        union_of[mask] = u
-    if sorted(union_of.values()) != sorted(carrier):
-        raise StructureError("regular closed sets do not decompose over the atoms")
-
-    names = tuple("+".join(space.names_of(atom)) for atom in atoms)
-    algebra = FiniteBooleanAlgebra(names if names else ("empty",))
     if not atoms:
         raise StructureError("a nonempty space has at least one regular closed atom")
+
+    algebra = FiniteBooleanAlgebra(tuple("+".join(space.names_of(atom)) for atom in atoms))
     rows = []
     for i, a in enumerate(atoms):
         row = 0
@@ -425,6 +419,8 @@ def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
     contact = ContactRelation(algebra, tuple(rows))
 
     rc = RegularClosedAlgebra(space, carrier, atoms, algebra, contact)
+    if sorted(rc.pointsets) != sorted(carrier):
+        raise StructureError("regular closed sets do not decompose over the atoms")
     if len(carrier) <= _FULL_TABLE_VERIFY_LIMIT:
         _verify_rc_tables(rc)
     return rc
@@ -444,7 +440,7 @@ def _verify_rc_tables(rc: RegularClosedAlgebra) -> None:
     The atom-union table must land in the regular closed carrier, and must
     pass first_law_violation against the point-set operations.
     """
-    pointsets = [rc.to_pointset(e) for e in rc.algebra.elements()]
+    pointsets = rc.pointsets
     for f in pointsets:
         if rc.space.closure(rc.space.interior(f)) != f:
             raise StructureError("atom union escaped the regular closed carrier")

@@ -1,0 +1,171 @@
+"""Mutation checks: each mutant must be killed by the tests it names.
+
+A mutant replaces one exact text in one file under src/ and names the test
+ids that must fail on it.  For each mutant this script copies src/, tests/
+and pyproject.toml to a temporary directory, applies the mutant there, runs
+the named tests with pytest and counts the mutant as killed when they fail.
+It prints one JSON object,
+
+    {"killed": [...], "survived": [...], "broken": [...], "missing": [...]}
+
+and exits 1 if a mutant survives, if its run ends other than in failing
+tests or runs out of time (broken), or if its old text no longer occurs
+exactly once (missing).
+It needs only the standard library and pytest, and pytest does not collect
+it.  tests/test_mutants.py checks the old texts on every test run.
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = "src/contact_duality"
+TIMEOUT_S = 300  # per mutant; a mutant that loops counts as broken
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ORACLES = "tests/test_oracles.py"
+_SEEDED = (f"{_ORACLES}::TestMorphismAxiomsPerAtom"
+           "::test_seeded_filter_tables_on_three_and_four_atoms")
+_ROWS = (f"{_ORACLES}::TestAxiomRows::test_reports_equal_the_element_scan",
+         f"{_ORACLES}::TestAxiomRows::test_witnesses_equal_the_element_scan_on_seeded_relations")
+_BC = (f"{_ORACLES}::TestBoundednessRows::test_reports_equal_the_element_scan",)
+_GRID = (f"{_ORACLES}::TestRegionSweeps::test_sweeps_equal_the_pairwise_scans_on_the_grid",)
+_MERGE = (f"{_ORACLES}::TestRegionSweeps::test_normal_form_of_unsorted_pairs_equals_the_full_sort",)
+
+MUTANTS = (
+    Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
+           "if reach is None else reach[outside])",
+           "if reach is None else reach[c])",
+           (f"{_ORACLES}::TestExtensionRows::test_well_inside_agrees_with_the_element_predicate",)),
+    Mutant("interpolation-gap-without-complement", f"{PACKAGE}/contact.py",
+           "atom_join(rows, top ^ row)",
+           "atom_join(rows, row)",
+           (f"{_ORACLES}::TestAxiomRows::test_ll_reports_equal_the_element_scan", *_BC)),
+    Mutant("atom-unions-by-highest-bit", f"{PACKAGE}/boolalg.py",
+           "table.append(table[a ^ low] | values[low.bit_length() - 1])",
+           "table.append(table[a ^ low] | values[a.bit_length() - 1])",
+           ("tests/test_boolalg.py::test_atom_unions_equal_atom_join_on_seeded_values",)),
+    Mutant("pal3-witness-at-top", f"{PACKAGE}/duality.py",
+           'Violation("PAL3", (A.names_of(a), A.names_of(least)))',
+           'Violation("PAL3", (A.names_of(a), A.names_of(A.top)))',
+           (_SEEDED,)),
+    Mutant("pal3-witness-one-atom-above", f"{PACKAGE}/duality.py",
+           'Violation("PAL3", (A.names_of(a), A.names_of(least)))',
+           'Violation("PAL3", (A.names_of(a), A.names_of(least | ~least & least + 1 & A.top)))',
+           (_SEEDED,)),
+    Mutant("pal4-at-highest-missing-atom", f"{PACKAGE}/duality.py",
+           'Violation("PAL4", (B.names_of(missing & -missing),))',
+           'Violation("PAL4", (B.names_of(1 << missing.bit_length() - 1),))',
+           (_SEEDED,)),
+    Mutant("pal6-from-plain-contact", f"{PACKAGE}/duality.py",
+           "if table[ext.inner(a)] != table[a]:",
+           "if table[src.contact.inner(a)] != table[a]:",
+           (_SEEDED,)),
+    Mutant("filter-test-without-count", f"{PACKAGE}/duality.py",
+           "if holders and len(holders) << reduce(and_, holders).bit_count() != 1 << n:",
+           "if holders and False:",
+           (_SEEDED,)),
+    Mutant("filter-test-meet-is-a-holder", f"{PACKAGE}/duality.py",
+           "if holders and len(holders) << reduce(and_, holders).bit_count() != 1 << n:",
+           "if holders and reduce(and_, holders) not in holders:",
+           (_SEEDED,)),
+    Mutant("c5-witness-whole-difference", f"{PACKAGE}/contact.py",
+           'return _witness(alg, "C5", 1 << i, outside & -outside)',
+           'return _witness(alg, "C5", 1 << i, outside)',
+           _ROWS),
+    Mutant("c6-drops-lowest-atom-first", f"{PACKAGE}/contact.py",
+           "for i in reversed(range(alg.atom_count)):",
+           "for i in range(alg.atom_count):",
+           _ROWS),
+    Mutant("con-last-component", f"{PACKAGE}/contact.py",
+           "least = min(least, component)",
+           "least = component",
+           _ROWS),
+    Mutant("bc2-witness-whole-rest", f"{PACKAGE}/localcontact.py",
+           "alg.names_of(rest & -rest)",
+           "alg.names_of(rest)",
+           _BC),
+    Mutant("bc3-ignores-bound", f"{PACKAGE}/contact.py",
+           "if row != 1 << i or not bound >> i & 1), None)",
+           "if row != 1 << i), None)",
+           _BC),
+    Mutant("join-keeps-touching-ends-apart", f"{PACKAGE}/regions.py",
+           "if out and lo <= out[-1][1]:\n                if out[-1][1] < hi:",
+           "if out and lo < out[-1][1]:\n                if out[-1][1] < hi:",
+           _GRID),
+    Mutant("meet-keeps-touching-points", f"{PACKAGE}/regions.py",
+           "if blo < ahi:",
+           "if blo <= ahi:",
+           _GRID),
+    Mutant("complement-keeps-left-ray-gap", f"{PACKAGE}/regions.py",
+           "start = 1 if _is_infinite(ends[1]) else 0",
+           "start = 0",
+           _GRID),
+    Mutant("le-skips-an-equal-end", f"{PACKAGE}/regions.py",
+           "while j < len(b) and b[j][1] < ahi:",
+           "while j < len(b) and b[j][1] <= ahi:",
+           _GRID),
+    Mutant("touches-ignores-shared-ends", f"{PACKAGE}/regions.py",
+           "if blo <= ahi:\n                    return True",
+           "if blo < ahi:\n                    return True",
+           _GRID),
+    Mutant("well-inside-at-a-closed-end", f"{PACKAGE}/regions.py",
+           "not (hi < b[j][1] or",
+           "not (hi <= b[j][1] or",
+           _GRID),
+    Mutant("merged-keeps-touching-ends-apart", f"{PACKAGE}/regions.py",
+           "if out and lo <= out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
+           "if out and lo < out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
+           _MERGE),
+)
+
+
+def _run(mutant: Mutant, scratch: pathlib.Path) -> str:
+    """Apply one mutant to a copy of the tree; 'killed', 'survived' or 'broken'."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, scratch / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", scratch / "pyproject.toml")
+    target = scratch / mutant.file
+    target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=scratch, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "broken"
+    # pytest exits 1 exactly when collected tests ran and some failed
+    return {0: "survived", 1: "killed"}.get(done.returncode, "broken")
+
+
+def main() -> int:
+    outcome = {"killed": [], "survived": [], "broken": [], "missing": []}
+    for mutant in MUTANTS:
+        if (ROOT / mutant.file).read_text().count(mutant.old) != 1:
+            outcome["missing"].append(mutant.name)
+            continue
+        with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
+            outcome[_run(mutant, pathlib.Path(scratch))].append(mutant.name)
+    print(json.dumps(outcome, indent=2))
+    return 0 if len(outcome["killed"]) == sum(map(len, outcome.values())) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from contact_duality.boolalg import MAX_ATOMS_ENV, FiniteBooleanAlgebra
+from contact_duality.boolalg import MAX_ATOMS_ENV, FiniteBooleanAlgebra, atom_join, atom_unions
 from contact_duality.errors import StructureError
 
 
@@ -111,3 +113,26 @@ def test_atom_cap_and_env_override(monkeypatch):
     monkeypatch.setenv(MAX_ATOMS_ENV, "bogus")
     with pytest.raises(StructureError):
         FiniteBooleanAlgebra(too_many)
+
+
+def test_atom_unions_equal_atom_join_on_seeded_values():
+    rng = random.Random(20)
+    for n in range(9):
+        for _ in range(4):
+            values = [rng.getrandbits(10) for _ in range(n)]
+            table = atom_unions(values)
+            assert len(table) == 1 << n
+            for a in range(1 << n):
+                expected = 0
+                for i in range(n):
+                    if a >> i & 1:
+                        expected |= values[i]
+                assert table[a] == atom_join(values, a) == expected, (values, a)
+
+
+def test_atom_index_refuses_unknown_and_unhashable_names(pq):
+    assert [pq.atom_index(x) for x in ("p", "q")] == [0, 1]
+    for name in ("r", ["p"], {"q": 1}, 1):
+        with pytest.raises(StructureError) as caught:
+            pq.atom_index(name)
+        assert str(caught.value) == f"unknown atom {name!r}"

@@ -449,6 +449,23 @@ class TestParserRejections:
         assert code == 2
         assert "diagonal" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"algebra": {"atoms": ["p", "q"]}, "contact": [[["p"], "q"]]}, "unknown atom ['p']"),
+        ({"algebra": {"atoms": ["p", "q"]}, "contact": [["p", {"q": 1}]]},
+         "unknown atom {'q': 1}"),
+        ({"points": ["a", "b"], "min_nbhd": {"a": ["a", ["b"]], "b": ["b"]}},
+         "space: unknown point ['b'] in a neighbourhood"),
+        ({"points": ["a", "b"], "min_nbhd": {"a": ["a", 2], "b": ["b"]}},
+         "space: unknown point 2 in a neighbourhood"),
+        ({"source": {"points": ["a"], "min_nbhd": {"a": ["a"]}},
+          "target": {"points": ["a"], "min_nbhd": {"a": ["a"]}}, "assign": {"a": ["a"]}},
+         "unknown point ['a']"),
+    ])
+    def test_names_of_the_wrong_json_type_are_unknown(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (2, "", f"error: {path}: {message}\n")
+
     def test_duplicate_morphism_key_rejected(self, tmp_path, capsys):
         base = json.loads((DATA / "identity_morphism_2.json").read_text())
         base["table"]["q,p"] = ["p"]  # same element as "p,q" under a different key

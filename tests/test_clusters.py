@@ -9,7 +9,6 @@ from contact_duality.clusters import (
     check_cluster,
     enumerate_clusters,
     grill_clusters,
-    is_cluster,
     maximal_cliques,
 )
 from contact_duality.contact import ContactRelation, ElementContact, overlap_contact
@@ -35,7 +34,7 @@ def up_closure(alg, support):
 class TestConditionChecker:
     def test_upset_of_one_atom_under_overlap(self):
         r = overlap_contact(small_algebra(2))
-        assert is_cluster(r, up_closure(r.algebra, 0b01))
+        assert check_cluster(r, up_closure(r.algebra, 0b01)).ok
 
     def test_all_nonzero_fails_pairwise_contact(self):
         r = overlap_contact(small_algebra(2))
@@ -46,7 +45,7 @@ class TestConditionChecker:
     def test_infinity_cluster_passes(self):
         for s in overlap_structures_with_proper_ideal(3):
             sigma = infinity_cluster(s, check=False)
-            assert is_cluster(sigma.relation, sigma.members())
+            assert check_cluster(sigma.relation, sigma.members()).ok
 
     def test_non_upward_closed_set_fails(self):
         r = overlap_contact(small_algebra(2))
@@ -133,7 +132,7 @@ class TestEnumeration:
         for n in (1, 2, 3):
             for r in atom_relations(n):
                 for c in enumerate_clusters(r):
-                    assert is_cluster(r, c.members())
+                    assert check_cluster(r, c.members()).ok
 
     def test_grill_shortcut_agrees_with_full_checker(self):
         # The grill path skips the join-primality condition because up-sets
@@ -142,7 +141,7 @@ class TestEnumeration:
             for r in atom_relations(n):
                 fast = {c.support for c in grill_clusters(r)}
                 slow = {s for s in range(1, r.algebra.size)
-                        if is_cluster(r, up_closure(r.algebra, s))}
+                        if check_cluster(r, up_closure(r.algebra, s)).ok}
                 assert fast == slow
 
     def test_table_cap_refusal(self):

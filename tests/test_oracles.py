@@ -662,7 +662,7 @@ class TestExtensionRows:
         alg = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(17)))
         path = tuple((0b111 << i >> 1) & alg.top for i in range(17))
         rel = ContactRelation(alg, path)
-        assert rel._inner is None
+        assert rel._reach is None
         for c in (0, 1, 0b11, 0b111, 0b1110, alg.top, alg.top ^ 1, alg.top ^ (1 << 8)):
             expected = _join(1 << i for i in range(17) if path[i] & ~c == 0)
             assert rel.inner(c) == expected

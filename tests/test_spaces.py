@@ -173,6 +173,32 @@ class TestRegularClosedTableCheck:
             _verify_rc_tables(tampered)
 
 
+class TestRegularClosedPointSets:
+    def test_pointsets_are_the_atom_unions_on_every_space_up_to_four_points(self):
+        spaces = 0
+        for n in range(1, 5):
+            for space in all_preorder_spaces(n):
+                rc = rc_algebra(space)
+                unions = []
+                for e in rc.algebra.elements():
+                    union = 0
+                    for k, atom in enumerate(rc.atoms):
+                        if e >> k & 1:
+                            union |= atom
+                    unions.append(union)
+                assert rc.pointsets == tuple(unions)
+                assert [rc.to_pointset(e) for e in rc.algebra.elements()] == unions
+                spaces += 1
+        assert spaces == 1 + 4 + 29 + 355
+
+    def test_to_pointset_refuses_a_non_element(self):
+        rc = rc_algebra(discrete_space("ab"))
+        for bad in (4, -1, True, 1.0):
+            with pytest.raises(StructureError) as caught:
+                rc.to_pointset(bad)
+            assert str(caught.value) == f"{bad!r} is not an element of a 2-atom algebra"
+
+
 class TestRegularOpen:
     def test_discrete_identity(self):
         ro = ro_algebra(discrete_space("ab"))
