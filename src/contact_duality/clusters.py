@@ -4,14 +4,15 @@ A cluster is a maximal pairwise-touching, join-prime set of elements; on a
 finite powerset algebra every such set is the up-closure of a nonempty atom
 set, so clusters are represented by their atom support.
 
-Two enumeration backends share one output contract, and both take a
-ContactRelation only.  The clique path walks maximal cliques of the atom
-graph with pivoting and keeps those whose up-closure is genuinely maximal.
-The grill path iterates all atom supports and tests pairwise contact and
-maximality at element level, under TABLE_ELEMENT_CAP; dual spaces are still
-built on it, and it doubles as the independent test oracle for the clique
-path.  check_cluster, the direct test of the cluster conditions, accepts any
-relation with the shared query surface.
+supports_cluster decides on the atom rows whether a support's up-closure is
+a cluster.  Two enumeration backends share one output contract, and both
+take a ContactRelation only: the clique path keeps the maximal cliques of
+the atom graph that pass supports_cluster, and the grill path tests every
+atom support for pairwise contact and maximality at element level, under
+TABLE_ELEMENT_CAP; dual spaces are still built on it, and it is the test
+oracle for the clique path.  check_cluster, the element-level test, accepts
+any relation with the shared query surface; the package runs it only to name
+the witness of a support that fails supports_cluster.
 """
 
 from __future__ import annotations
@@ -84,6 +85,23 @@ def check_cluster(relation: ContactQuery, members: Iterable[int]) -> Report:
     return Report("cluster conditions")
 
 
+def supports_cluster(rows: tuple[int, ...], s: int) -> bool:
+    """Is the up-closure of the nonempty atom set s a cluster?
+
+    K1 holds exactly when s is a clique, diagonal included.  K2 holds for
+    every up-closure.  K3 fails exactly when the largest non-member, the
+    complement of s, touches every atom of s, so it holds exactly when some
+    atom of s has its whole row inside s (none does when s is empty).
+    """
+    closed = False
+    for i, row in enumerate(rows):
+        if s >> i & 1:
+            if row & s != s:
+                return False
+            closed = closed or row & ~s == 0
+    return closed
+
+
 def maximal_cliques(neighbour_rows: tuple[int, ...]) -> list[int]:
     """All maximal cliques of an undirected graph, as vertex masks.
 
@@ -119,14 +137,12 @@ def maximal_cliques(neighbour_rows: tuple[int, ...]) -> list[int]:
 def enumerate_clusters(relation: ContactRelation) -> list[Cluster]:
     """All clusters, canonically ordered by ascending support mask.
 
-    Every cluster support is a maximal clique of the atom graph, but a
-    maximal clique only supports a cluster when some atom's whole contact row
-    stays inside it (otherwise the atoms outside jointly touch everything and
-    defeat maximality), so cliques are filtered by that condition.
+    Every cluster support is a clique of the atom graph, and a maximal one:
+    an atom touching all of s would make the complement of s touch every
+    member.  So the maximal cliques are filtered by supports_cluster.
     """
     rows = require_rows(relation, "cluster enumeration").rows
-    supports = [s for s in maximal_cliques(rows)
-                if any(row & ~s == 0 for i, row in enumerate(rows) if s >> i & 1)]
+    supports = [s for s in maximal_cliques(rows) if supports_cluster(rows, s)]
     return [Cluster(relation, s) for s in sorted(supports)]
 
 

@@ -18,14 +18,10 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .boolalg import atom_join, atom_unions
-from .clusters import Cluster, check_cluster, grill_clusters
+from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .contact import ContactRelation
 from .errors import IntegrityError, Refusal, StructureError
-from .localcontact import (
-    BoundedIdeal,
-    LocalContactAlgebra,
-    alexandroff_extension,
-)
+from .localcontact import LocalContactAlgebra, alexandroff_extension, nca_as_lca
 from .report import Report, Violation
 from .spaces import (
     FiniteSpace,
@@ -82,8 +78,7 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
         raise StructureError(f"unknown morphism kind {kind!r}; expected one of {MORPHISM_KINDS}")
     src, tgt = phi.source, phi.target
     if kind == "DVAL":
-        src = LocalContactAlgebra(src.contact, BoundedIdeal(src.algebra, src.algebra.top))
-        tgt = LocalContactAlgebra(tgt.contact, BoundedIdeal(tgt.algebra, tgt.algebra.top))
+        src, tgt = nca_as_lca(src.contact), nca_as_lca(tgt.contact)
     A, B = src.algebra, tgt.algebra
     table = phi.table
     src_gen, tgt_gen = src.ideal.generator, tgt.ideal.generator
@@ -259,21 +254,9 @@ class DualSpace:
         return self.regions[a]
 
     @cached_property
-    def point_index(self) -> dict[frozenset[int], int]:
-        """Index of each point, keyed by the member set of its cluster."""
-        return {frozenset(c.members()): i for i, c in enumerate(self.clusters)}
-
-    def certificate(self, i: int) -> Report:
-        """check_cluster of point i, run on the first request and kept."""
-        kept = self._certificates
-        if i not in kept:
-            cluster = self.clusters[i]
-            kept[i] = check_cluster(cluster.relation, cluster.members())
-        return kept[i]
-
-    @cached_property
-    def _certificates(self) -> dict[int, Report]:
-        return {}
+    def point_index(self) -> dict[int, int]:
+        """Index of each point, keyed by the atom support of its cluster."""
+        return {c.support: i for i, c in enumerate(self.clusters)}
 
 
 def dual_space(structure: LocalContactAlgebra, *, validate: bool = True) -> DualSpace:
@@ -371,7 +354,7 @@ class PointEmbedding:
 
     space: FiniteSpace
     rc: RegularClosedAlgebra
-    sigma: tuple[frozenset[int], ...]
+    sigma: tuple[int, ...]  # per point, the support of that set: the atoms holding it
     dual: DualSpace | None
     map: SpaceMap | None
     homeomorphism: bool
@@ -392,7 +375,7 @@ def point_embedding(space: FiniteSpace) -> PointEmbedding:
 
 def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
     rc = rc_algebra(space)
-    sigma = tuple(frozenset(e for e, f in enumerate(rc.pointsets) if f >> x & 1)
+    sigma = tuple(sum(1 << k for k, atom in enumerate(rc.atoms) if atom >> x & 1)
                   for x in range(space.point_count))
     if not space_predicates(space).hausdorff:
         return PointEmbedding(
@@ -401,15 +384,13 @@ def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
                                              "space is not Hausdorff",)))
 
     dual = dual_space(rc.lca())
-    member_sets = [frozenset(c.members()) for c in dual.clusters]
     assignment = []
     violations = []
     for x in range(space.point_count):
-        try:
-            assignment.append(member_sets.index(sigma[x]))
-        except ValueError:
+        if sigma[x] not in dual.point_index:
             violations.append(Violation("point-to-cluster", (space.points[x],)))
             break
+        assignment.append(dual.point_index[sigma[x]])
     if violations:
         return PointEmbedding(space, rc, sigma, dual, None, False,
                               Report("point embedding", tuple(violations)))
@@ -454,9 +435,10 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     """Dual space map of a morphism, defined cluster by cluster.
 
     For each point of the dual of the morphism's target the defining set is
-    computed, certified to be a bounded cluster of the morphism's source side
-    (anything else is an internal bug, not bad input), and matched to a point
-    of the source's dual space.
+    computed, certified on the atom rows to be a bounded cluster of the
+    morphism's source side (anything else is an internal bug, not bad input),
+    and matched by its support to a point of the source's dual space.  Only
+    a set that fails is walked by check_cluster, to name the witness.
     """
     report = check_morphism(phi, "PAL")
     if not report.ok:
@@ -472,25 +454,21 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     # inner(complement of a); a cluster is up-closed, so that one decides.
     least = [B.complement(phi.table[ext_src.inner(A.complement(a))]) for a in A.elements()]
 
+    atoms, elements, index = range(A.atom_count), range(A.size), src_dual.point_index
     assignment = []
     for cluster in tgt_dual.clusters:
-        traced = frozenset(a for a in A.elements() if cluster.contains(least[a]))
-        # a point's certificate is kept on the source's dual space; a set
-        # that is no point is certified here, so that it fails as a cluster
-        # before it fails the point-list match
-        index = src_dual.point_index.get(traced)
-        check = check_cluster(ext_src, traced) if index is None else src_dual.certificate(index)
-        if not check.ok:
+        traced = [x & cluster.support != 0 for x in least]
+        support = sum(1 << i for i in atoms if traced[1 << i])
+        # a point is the up-closure of its support, and a cluster
+        if (traced != [a & support != 0 for a in elements]
+                or not supports_cluster(ext_src.rows, support)):
+            check = check_cluster(ext_src, (a for a, t in enumerate(traced) if t))
             raise IntegrityError(f"traced point set is not a cluster: {check.render()}")
-        if phi.source.improper:
-            bounded = True
-        else:
-            bounded = any(phi.source.bounded(a) for a in traced)
-        if not bounded:
+        if not support & phi.source.ideal.generator:
             raise IntegrityError("traced cluster is not bounded")
-        if index is None:
+        if support not in index:
             raise IntegrityError("traced cluster missing from the dual point list")
-        assignment.append(index)
+        assignment.append(index[support])
 
     result = SpaceMap(tgt_dual.space, src_dual.space, tuple(assignment))
     preds = map_predicates(result)

@@ -158,6 +158,10 @@ def map_from_json(obj) -> SpaceMap:
 def morphism_to_json(phi: AlgebraMorphism) -> dict:
     src = phi.source.algebra
     tgt = phi.target.algebra
+    for name in src.atom_names:
+        if name == "" or "," in name:
+            raise StructureError(f"morphism: source atom name {name!r} cannot appear in a "
+                                 "table key; it must be nonempty and contain no comma")
     return {
         "source": lca_to_json(phi.source),
         "target": lca_to_json(phi.target),

@@ -147,20 +147,19 @@ def infinity_cluster(structure: LocalContactAlgebra, *, check: bool = True):
     Returns None when the ideal is improper (everything is bounded).  The
     unbounded elements are exactly those meeting the generator's complement,
     so their up-set is supported on the co-generator atoms.  With check=True
-    the three cluster conditions are verified against the Alexandroff
-    extension and a Refusal carries the report if any fails; structures that
-    violate the boundedness axioms genuinely can fail here.
+    the cluster conditions are decided on the Alexandroff extension's rows,
+    and a Refusal carries check_cluster's report if they fail; structures
+    that violate the boundedness axioms genuinely can fail here.
     """
-    from .clusters import Cluster, check_cluster
+    from .clusters import Cluster, check_cluster, supports_cluster
 
     if structure.improper:
         return None
     support = structure.algebra.complement(structure.ideal.generator)
     cluster = Cluster(alexandroff_extension(structure), support)
-    if check:
-        report = check_cluster(cluster.relation, cluster.members())
-        if not report.ok:
-            raise Refusal("set of unbounded elements is not a cluster here", report)
+    if check and not supports_cluster(cluster.relation.rows, support):
+        raise Refusal("set of unbounded elements is not a cluster here",
+                      check_cluster(cluster.relation, cluster.members()))
     return cluster
 
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from .boolalg import FiniteBooleanAlgebra, atom_unions
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
-from .localcontact import BoundedIdeal, LocalContactAlgebra
+from .localcontact import LocalContactAlgebra, nca_as_lca
 from .report import Report, Violation
 
 RC_POINT_CAP = 16
@@ -356,7 +356,7 @@ class RegularClosedAlgebra:
 
     @cached_property
     def _lca(self) -> LocalContactAlgebra:
-        return LocalContactAlgebra(self.contact, BoundedIdeal(self.algebra, self.algebra.top))
+        return nca_as_lca(self.contact)
 
     # point-set operations of the regular closed algebra
     def meet_sets(self, f: int, g: int) -> int:

@@ -1,6 +1,8 @@
 import pathlib
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
@@ -13,3 +15,26 @@ else:
     # The same examples on every run, and no example database on disk.
     settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
     settings.load_profile("derandomized")
+
+
+@pytest.fixture
+def cluster_walks(monkeypatch):
+    """The member lists of every check_cluster call the package makes.
+
+    localcontact imports check_cluster from clusters when it is called, so
+    patching the clusters and duality bindings covers every caller.
+    """
+    import contact_duality.clusters as clusters
+    import contact_duality.duality as duality
+
+    walked = []
+    original = clusters.check_cluster
+
+    def recording(relation, members):
+        members = list(members)
+        walked.append(members)
+        return original(relation, members)
+
+    for module in (clusters, duality):
+        monkeypatch.setattr(module, "check_cluster", recording)
+    return walked

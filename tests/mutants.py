@@ -48,6 +48,8 @@ _ROWS = (f"{_ORACLES}::TestAxiomRows::test_reports_equal_the_element_scan",
 _BC = (f"{_ORACLES}::TestBoundednessRows::test_reports_equal_the_element_scan",)
 _GRID = (f"{_ORACLES}::TestRegionSweeps::test_sweeps_equal_the_pairwise_scans_on_the_grid",)
 _MERGE = (f"{_ORACLES}::TestRegionSweeps::test_normal_form_of_unsorted_pairs_equals_the_full_sort",)
+_SUPPORTS = ("tests/test_clusters.py::TestSupportsCluster"
+             "::test_equals_the_checker_on_every_relation_up_to_four_atoms",)
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -134,6 +136,28 @@ MUTANTS = (
            "if out and lo <= out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
            "if out and lo < out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
            _MERGE),
+    Mutant("supports-cluster-needs-every-row-inside", f"{PACKAGE}/clusters.py",
+           "closed = False\n    for i, row in enumerate(rows):\n        if s >> i & 1:\n"
+           "            if row & s != s:\n                return False\n"
+           "            closed = closed or row & ~s == 0\n",
+           "closed = True\n    for i, row in enumerate(rows):\n        if s >> i & 1:\n"
+           "            if row & s != s:\n                return False\n"
+           "            closed = closed and row & ~s == 0\n",
+           _SUPPORTS),
+    Mutant("supports-cluster-without-clique-test", f"{PACKAGE}/clusters.py",
+           "if row & s != s:\n                return False\n",
+           "",
+           _SUPPORTS),
+    Mutant("dual-of-morphism-without-up-closure-test", f"{PACKAGE}/duality.py",
+           "if (traced != [a & support != 0 for a in elements]\n"
+           "                or not supports_cluster(ext_src.rows, support)):",
+           "if not supports_cluster(ext_src.rows, support):",
+           ("tests/test_duality.py::TestDualOfMorphism"
+            "::test_traced_set_that_is_no_cluster_is_walked_for_its_witness",)),
+    Mutant("sigma-from-atoms-missing-the-point", f"{PACKAGE}/duality.py",
+           "for k, atom in enumerate(rc.atoms) if atom >> x & 1)",
+           "for k, atom in enumerate(rc.atoms) if not atom >> x & 1)",
+           ("tests/test_duality.py::TestPointEmbedding::test_discrete_spaces_certified",)),
 )
 
 

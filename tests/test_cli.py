@@ -15,6 +15,7 @@ from contact_duality.duality import identity_morphism
 from contact_duality.localcontact import nca_as_lca
 from contact_duality.cli import REGION_SAMPLE_CAP, main
 from corpus import discrete
+from test_golden import ROOT, command_lines
 from contact_duality.spaces import SpaceMap
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -256,6 +257,33 @@ class TestMapsAndMorphisms:
         code, _, err = run(capsys, "dual-map", str(bad))
         assert code == 1
         assert "closed" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["x,y", ""])
+    def test_dual_map_refuses_point_names_that_cannot_be_table_keys(self, name, fmt,
+                                                                    tmp_path, capsys):
+        # the dual morphism's table keys join the target's point names with
+        # commas, so its table could not be read back
+        space = {"points": [name, "z"], "min_nbhd": {name: [name], "z": ["z"]}}
+        path = tmp_path / "swap.json"
+        path.write_text(json.dumps({"source": space, "target": space,
+                                    "assign": {name: "z", "z": name}}))
+        code, out, err = run(capsys, "dual-map", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"source atom name {name!r} cannot appear in a table key" in err
+
+
+class TestNoElementWalk:
+    def test_no_verb_walks_cluster_elements_on_the_data_files(self, cluster_walks,
+                                                              monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        codes = set()
+        for argv in command_lines():
+            if argv[0] != "region":
+                codes.add(main(argv))
+        capsys.readouterr()
+        assert codes == {0, 1, 2}
+        assert cluster_walks == []
 
 
 class TestRegionVerb:

@@ -10,6 +10,7 @@ from contact_duality.clusters import (
     enumerate_clusters,
     grill_clusters,
     maximal_cliques,
+    supports_cluster,
 )
 from contact_duality.contact import ContactRelation, ElementContact, overlap_contact
 from corpus import (
@@ -55,6 +56,33 @@ class TestConditionChecker:
     def test_empty_set_rejected_as_k1(self):
         r = overlap_contact(small_algebra(1))
         assert not check_cluster(r, []).ok
+
+
+class TestSupportsCluster:
+    """The row test against the element-level checker on up-closures."""
+
+    def test_equals_the_checker_on_every_relation_up_to_four_atoms(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for r in atom_relations(n):
+                for s in range(r.algebra.size):
+                    assert supports_cluster(r.rows, s) == \
+                        check_cluster(r, up_closure(r.algebra, s)).ok, (r.rows, s)
+                    checked += 1
+        assert checked == 2 + 2 * 4 + 8 * 8 + 64 * 16
+
+    def test_equals_the_checker_on_seeded_relations_of_five_and_six_atoms(self):
+        rng = random.Random(20240)
+        seen = set()
+        for n in (5, 6):
+            for _ in range(12):
+                r = random_atom_relation(n, rng)
+                supports = rng.sample(range(1, r.algebra.size), 12)
+                for s in supports + [c.support for c in enumerate_clusters(r)]:
+                    ok = supports_cluster(r.rows, s)
+                    assert ok == check_cluster(r, up_closure(r.algebra, s)).ok, (r.rows, s)
+                    seen.add(ok)
+        assert seen == {False, True}
 
 
 class TestMaximalCliques:

@@ -5,10 +5,11 @@ import pytest
 
 import contact_duality.duality as duality_module
 from contact_duality.boolalg import FiniteBooleanAlgebra
-from contact_duality.clusters import grill_clusters
+from contact_duality.clusters import check_cluster, grill_clusters
 from contact_duality.contact import check_axioms, overlap_contact
 from corpus import (
     all_maps,
+    all_preorder_spaces,
     constant_to_one,
     discrete,
     repaired_random_morphisms,
@@ -29,6 +30,7 @@ from contact_duality.duality import (
     verify_double_dual,
 )
 from contact_duality.errors import IntegrityError, Refusal, StructureError
+from contact_duality.report import Report
 from contact_duality.localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
@@ -232,6 +234,17 @@ class TestPointEmbedding:
         assert any("not asserted" in note for note in emb.report.notes)
         # the per-point tables are still computed
         assert emb.sigma[0] == emb.sigma[1]
+
+    def test_sigma_holds_the_support_of_the_regular_closed_sets_at_each_point(self):
+        for n in (1, 2, 3, 4):
+            for space in all_preorder_spaces(n):
+                emb = point_embedding(space)
+                for x in range(n):
+                    holding = {e for e, f in enumerate(emb.rc.pointsets) if f >> x & 1}
+                    assert holding == {e for e in emb.rc.algebra.elements() if e & emb.sigma[x]}
+                if emb.map is not None:
+                    assert emb.map.assignment == tuple(emb.dual.point_index[emb.sigma[x]]
+                                                       for x in range(n))
 
     def test_built_once_per_space(self):
         for space in (discrete(3), FiniteSpace(("a", "b"), (0b01, 0b11))):
@@ -530,35 +543,45 @@ class TestDualOfMorphism:
                     surjective = map_predicates(dual_map).surjective
                     assert injective == surjective
 
-    @staticmethod
-    def count_certificates(monkeypatch):
-        certified = []
-        original = duality_module.check_cluster
-
-        def counting(relation, members):
-            certified.append(frozenset(members))
-            return original(relation, members)
-
-        monkeypatch.setattr(duality_module, "check_cluster", counting)
-        return certified
-
-    def test_point_certificates_computed_once_per_dual_space(self, monkeypatch):
-        certified = self.count_certificates(monkeypatch)
+    def test_valid_morphism_runs_no_element_walk(self, cluster_walks):
         phi = identity_morphism(improper_overlap(3))
         maps = [dual_of_morphism(phi) for _ in range(3)]
         assert maps[0] == maps[1] == maps[2]
-        assert len(certified) == len(set(certified)) == 3
+        assert maps[0].assignment == (0, 1, 2)
+        assert cluster_walks == []
 
-    def test_traced_set_that_is_no_point_is_certified_then_refused(self, monkeypatch):
+    def test_traced_cluster_that_is_no_point_is_refused_without_a_walk(self, monkeypatch,
+                                                                       cluster_walks):
         source, target = improper_overlap(2), improper_overlap(2)
         dual = dual_space(source)
         monkeypatch.setitem(source.__dict__, "dual",
                             dataclasses.replace(dual, clusters=dual.clusters[:1]))
-        certified = self.count_certificates(monkeypatch)
         phi = AlgebraMorphism(source, target, tuple(source.algebra.elements()))
         with pytest.raises(IntegrityError, match="missing from the dual point list"):
             dual_of_morphism(phi)
-        assert certified == [frozenset(c.members()) for c in dual.clusters]
+        assert cluster_walks == []
+
+    @pytest.mark.parametrize("table, target_atoms, traced, witness", [
+        # the traced set {0, p, top} for the target cluster {p} has the
+        # support {p}, which passes the row test, but it holds the bottom,
+        # so it is no up-closure
+        ((0, 0b01, 0, 0), 2, [0, 0b01, 0b11], ((), ())),
+        # the traced set is the up-closure of {p, q}; p and q do not touch
+        ((0, 0, 0, 1), 1, [0b01, 0b10, 0b11], (("p",), ("q",))),
+    ])
+    def test_traced_set_that_is_no_cluster_is_walked_for_its_witness(
+            self, table, target_atoms, traced, witness, monkeypatch, cluster_walks):
+        # both tables fail PAL, so check_morphism is bypassed
+        s = improper_overlap(2)
+        phi = AlgebraMorphism(s, improper_overlap(target_atoms), table)
+        monkeypatch.setattr(duality_module, "check_morphism",
+                            lambda phi, kind="PAL": Report("PAL axioms"))
+        expected = check_cluster(s.contact, traced)
+        assert [(v.axiom, v.witness) for v in expected.violations] == [("K1", witness)]
+        with pytest.raises(IntegrityError) as caught:
+            dual_of_morphism(phi)
+        assert str(caught.value) == f"traced point set is not a cluster: {expected.render()}"
+        assert cluster_walks == [traced]
 
 
 class TestClosedEmbedding:

@@ -142,6 +142,26 @@ class TestInfinityCluster:
         report = check_cluster(sigma.relation, sigma.members())
         assert [v.axiom for v in report.violations] == ["K3"]
 
+    def test_row_test_decides_and_the_walk_only_names_the_witness(self, cluster_walks):
+        outcomes = set()
+        for n in (1, 2, 3):
+            for s in ideal_structures(n):
+                if s.improper:
+                    continue
+                sigma = infinity_cluster(s, check=False)
+                expected = check_cluster(sigma.relation, sigma.members())
+                cluster_walks.clear()
+                if expected.ok:
+                    assert infinity_cluster(s) == sigma
+                    assert cluster_walks == []
+                else:
+                    with pytest.raises(Refusal) as caught:
+                        infinity_cluster(s)
+                    assert caught.value.report == expected
+                    assert cluster_walks == [list(sigma.members())]
+                outcomes.add(expected.ok)
+        assert outcomes == {False, True}
+
     def test_cluster_condition_oracle_on_broad_corpus(self):
         # Maximality of the unbounded set is equivalent to: no nonzero bounded
         # element touches every unbounded element.  Checked blind against the
