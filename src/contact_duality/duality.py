@@ -27,10 +27,9 @@ from .spaces import (
     FiniteSpace,
     RegularClosedAlgebra,
     SpaceMap,
-    element_ops,
-    first_law_violation,
     map_predicates,
     rc_algebra,
+    rc_law_violation,
     space_predicates,
 )
 
@@ -312,10 +311,11 @@ def verify_double_dual(structure: LocalContactAlgebra, dual: DualSpace) -> Repor
 
     Checks bijectivity onto the regular closed sets of the dual space, then
     the Boolean homomorphism laws and agreement of contact with intersection
-    (spaces.first_law_violation, which names the least failing elements),
-    then the bounded-element correspondence.  In the compact case the bounded
-    correspondence holds identically because every regular closed set of a
-    finite space is compact; that is recorded as a note.
+    (spaces.rc_law_violation, decided on the atom regions; its element walk
+    runs only to name the least failing elements), then the bounded-element
+    correspondence.  In the compact case the bounded correspondence holds
+    identically because every regular closed set of a finite space is
+    compact; that is recorded as a note.
     roundtrip_report reads this report from LocalContactAlgebra.double_dual,
     which computes it once per structure.
     """
@@ -330,8 +330,7 @@ def verify_double_dual(structure: LocalContactAlgebra, dual: DualSpace) -> Repor
         violations.append(Violation("onto-regular-closed"))
 
     if not violations:
-        law = first_law_violation(alg.elements(), dual.regions, element_ops(structure.contact),
-                                  rc.set_ops, alg.names_of)
+        law = rc_law_violation(dual.regions, structure.contact, rc)
         if law is not None:
             violations.append(law)
 

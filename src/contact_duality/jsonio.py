@@ -59,6 +59,13 @@ def element_from_key(algebra: FiniteBooleanAlgebra, key: str) -> int:
         return 0
     return algebra.element_of_names(key.split(","))
 
+def _check_key_names(algebra: FiniteBooleanAlgebra, owner: str) -> None:
+    """Element keys are one-to-one only over nonempty atom names without commas."""
+    for name in algebra.atom_names:
+        if name == "" or "," in name:
+            raise StructureError(f"{owner} atom name {name!r} cannot appear in a table "
+                                 "key; it must be nonempty and contain no comma")
+
 
 # contact relations ---------------------------------------------------------
 
@@ -158,10 +165,7 @@ def map_from_json(obj) -> SpaceMap:
 def morphism_to_json(phi: AlgebraMorphism) -> dict:
     src = phi.source.algebra
     tgt = phi.target.algebra
-    for name in src.atom_names:
-        if name == "" or "," in name:
-            raise StructureError(f"morphism: source atom name {name!r} cannot appear in a "
-                                 "table key; it must be nonempty and contain no comma")
+    _check_key_names(src, "morphism: source")
     return {
         "source": lca_to_json(phi.source),
         "target": lca_to_json(phi.target),
@@ -224,6 +228,7 @@ def clusters_to_json(clusters: list[Cluster], structure: LocalContactAlgebra,
 
 def dual_space_to_json(dual: DualSpace) -> dict:
     alg = dual.source.algebra
+    _check_key_names(alg, "dual space:")
     return {
         "space": space_to_json(dual.space),
         "case": dual.case,

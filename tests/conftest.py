@@ -38,3 +38,23 @@ def cluster_walks(monkeypatch):
     for module in (clusters, duality):
         monkeypatch.setattr(module, "check_cluster", recording)
     return walked
+
+
+@pytest.fixture
+def law_walks(monkeypatch):
+    """The tables of every first_law_violation call the package makes.
+
+    Only spaces binds first_law_violation, so patching it there covers every
+    caller.
+    """
+    import contact_duality.spaces as spaces
+
+    walked = []
+    original = spaces.first_law_violation
+
+    def recording(domain, image, source, target, name):
+        walked.append(image)
+        return original(domain, image, source, target, name)
+
+    monkeypatch.setattr(spaces, "first_law_violation", recording)
+    return walked

@@ -50,6 +50,7 @@ _GRID = (f"{_ORACLES}::TestRegionSweeps::test_sweeps_equal_the_pairwise_scans_on
 _MERGE = (f"{_ORACLES}::TestRegionSweeps::test_normal_form_of_unsorted_pairs_equals_the_full_sort",)
 _SUPPORTS = ("tests/test_clusters.py::TestSupportsCluster"
              "::test_equals_the_checker_on_every_relation_up_to_four_atoms",)
+_RC_LAWS = f"{_ORACLES}::TestRegularClosedLawsOnAtoms"
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -158,6 +159,20 @@ MUTANTS = (
            "for k, atom in enumerate(rc.atoms) if atom >> x & 1)",
            "for k, atom in enumerate(rc.atoms) if not atom >> x & 1)",
            ("tests/test_duality.py::TestPointEmbedding::test_discrete_spaces_certified",)),
+    Mutant("rc-law-violation-without-row-test", f"{PACKAGE}/spaces.py",
+           "sorted(table) == sorted(rc.carrier)\n"
+           "            and _meeting_rows(images) == contact.rows):",
+           "sorted(table) == sorted(rc.carrier)):",
+           (f"{_RC_LAWS}::test_permuted_region_tables_against_every_atom_relation",)),
+    Mutant("rc-law-violation-without-bijection-test", f"{PACKAGE}/spaces.py",
+           "atom_unions(images) and sorted(table) == sorted(rc.carrier)\n",
+           "atom_unions(images)\n",
+           (f"{_RC_LAWS}::test_tampered_atom_lists_of_every_space_up_to_three_points",)),
+    Mutant("rc-law-violation-reads-atom-images-at-i", f"{PACKAGE}/spaces.py",
+           "images = [table[1 << i] for i",
+           "images = [table[i] for i",
+           ("tests/test_spaces.py::TestRegularClosedCertificate"
+            "::test_no_element_walk_on_every_space_up_to_four_points",)),
 )
 
 

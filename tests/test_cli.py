@@ -191,6 +191,19 @@ class TestDualizeAndLift:
                            "--format", "dot")
         assert code == 0 and "->" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("atoms", [["", "q"], ["p,q", "p", "q"]])
+    def test_dualize_refuses_atom_names_that_cannot_be_region_keys(self, atoms, fmt,
+                                                                    tmp_path, capsys):
+        # the region keys join atom names with commas: "" would collide with
+        # the bottom's key, and "p,q" with the key of the join of p and q
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"algebra": {"atoms": atoms}, "contact": [],
+                                    "bounded": atoms}))
+        code, out, err = run(capsys, "dualize", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"dual space: atom name {atoms[0]!r} cannot appear in a table key" in err
+
 
 class TestMapsAndMorphisms:
     def test_dual_map_both_directions(self, capsys):
@@ -274,7 +287,7 @@ class TestMapsAndMorphisms:
 
 
 class TestNoElementWalk:
-    def test_no_verb_walks_cluster_elements_on_the_data_files(self, cluster_walks,
+    def test_no_verb_walks_cluster_elements_on_the_data_files(self, cluster_walks, law_walks,
                                                               monkeypatch, capsys):
         monkeypatch.chdir(ROOT)
         codes = set()
@@ -284,6 +297,7 @@ class TestNoElementWalk:
         capsys.readouterr()
         assert codes == {0, 1, 2}
         assert cluster_walks == []
+        assert law_walks == []
 
 
 class TestRegionVerb:

@@ -13,16 +13,19 @@ and messages included.
 
 The region calculator's sweeps over the normal form are checked against
 the pairwise definitions they replaced, and the polynomial connectedness
-and closed-map tests against the scans over all point sets.
+and closed-map tests against the scans over all point sets.  The atom test
+of the regular closed certificates is checked against the element walk of
+first_law_violation.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.boolalg import FiniteBooleanAlgebra, atom_unions
 from contact_duality.clusters import check_cluster
 from contact_duality import contact
 from contact_duality.contact import (
@@ -33,9 +36,11 @@ from contact_duality.contact import (
     overlap_contact,
 )
 from corpus import (
+    CORPUS_SEED,
     all_maps,
     all_preorder_spaces,
     atom_relations,
+    discrete,
     dual_morphism_corpus,
     ideal_structures,
     small_algebra,
@@ -58,7 +63,15 @@ from contact_duality.localcontact import (
 )
 from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, interpolate
 from contact_duality.report import Report, Violation
-from contact_duality.spaces import SpaceMap, map_predicates, space_predicates
+from contact_duality.spaces import (
+    SpaceMap,
+    element_ops,
+    first_law_violation,
+    map_predicates,
+    rc_algebra,
+    rc_law_violation,
+    space_predicates,
+)
 from test_duality import morphism_candidates
 
 
@@ -966,3 +979,70 @@ class TestSpacePredicates:
                 count += 1
         assert count == 24872 + 2 * 355 * 4 * 16
         assert verdicts == {True, False}
+
+
+# regular closed laws on atom images --------------------------------------------
+
+
+def walked_law(table, contact, rc):
+    """The element walk that rc_law_violation decides on atom images."""
+    return first_law_violation(range(len(table)), table, element_ops(contact), rc.set_ops,
+                               contact.algebra.names_of)
+
+
+class TestRegularClosedLawsOnAtoms:
+    """rc_law_violation equals the element walk.
+
+    A table failing the atom test gets the walk itself, so what these cases
+    pin is that a table passing it breaks no law; each test also checks that
+    both outcomes, and the failing laws it names, occur.
+    """
+
+    def compare(self, cases):
+        passed, laws = 0, set()
+        for table, contact, rc in cases:
+            law = walked_law(table, contact, rc)
+            assert rc_law_violation(table, contact, rc) == law, (table, contact.rows)
+            passed += law is None
+            laws.add(law and law.axiom)
+        return passed, laws
+
+    def test_permuted_region_tables_against_every_atom_relation(self):
+        cases = []
+        rng = random.Random(CORPUS_SEED)
+        for n in (1, 2, 3):
+            rc = rc_algebra(discrete(n))
+            if n < 3:
+                tables = list(itertools.permutations(rc.pointsets))
+            else:
+                # the atom permutations, and a sample of the 8! permutations
+                tables = [atom_unions(atoms) for atoms in itertools.permutations(rc.atoms)]
+                for _ in range(3000):
+                    table = list(rc.pointsets)
+                    rng.shuffle(table)
+                    tables.append(tuple(table))
+            relations = [ContactRelation(rc.algebra, r.rows) for r in atom_relations(n)]
+            cases += [(table, relation, rc) for table in tables for relation in relations]
+        assert len(cases) == 2 + 24 * 2 + 3006 * 8
+        passed, laws = self.compare(cases)
+        assert passed == 1 + 2 + 6
+        assert laws == {None, "join", "contact", "complement"}
+
+    def test_tampered_atom_lists_of_every_space_up_to_three_points(self):
+        cases = []
+        for n in (1, 2, 3):
+            for space in all_preorder_spaces(n):
+                rc = rc_algebra(space)
+                for atoms in itertools.product(range(space.everything + 1), repeat=len(rc.atoms)):
+                    tampered = dataclasses.replace(rc, atoms=atoms)
+                    cases.append((tampered.pointsets, rc.contact, tampered))
+                    if all(atoms):
+                        # the relation the tampered atoms meet by, so that
+                        # only the bijection test can reject the table
+                        rows = tuple(sum(1 << j for j, g in enumerate(atoms) if f & g)
+                                     for f in atoms)
+                        cases.append((tampered.pointsets, ContactRelation(rc.algebra, rows),
+                                      tampered))
+        passed, laws = self.compare(cases)
+        assert passed > 0
+        assert laws == {None, "meet", "contact", "complement"}

@@ -17,6 +17,7 @@ from contact_duality.spaces import (
     space_predicates,
 )
 from contact_duality.spaces import _verify_rc_tables
+from contact_duality import spaces as spaces_module
 
 
 @pytest.fixture
@@ -171,6 +172,28 @@ class TestRegularClosedTableCheck:
         tampered = dataclasses.replace(rc, atoms=atoms, contact=contact)
         with pytest.raises(StructureError, match=message):
             _verify_rc_tables(tampered)
+
+
+class TestRegularClosedCertificate:
+    def test_no_element_walk_on_every_space_up_to_four_points(self, law_walks):
+        spaces = [space for n in range(1, 5) for space in all_preorder_spaces(n)]
+        assert len(spaces) == 389
+        for space in spaces:
+            rc_algebra(space)
+        assert law_walks == []
+
+    def test_nine_point_discrete_space_is_certified(self, monkeypatch):
+        # 512 regular closed sets: the table check runs at every size up to the cap
+        checked = []
+
+        def recording(rc):
+            checked.append(rc)
+            _verify_rc_tables(rc)
+
+        monkeypatch.setattr(spaces_module, "_verify_rc_tables", recording)
+        rc = rc_algebra(discrete_space("abcdefghi"))
+        assert checked == [rc]
+        assert rc.pointsets == tuple(range(512))
 
 
 class TestRegularClosedPointSets:
