@@ -35,9 +35,9 @@ _EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
 def _valid_endpoint(value) -> Endpoint:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or value is NEG_INF or value is POS_INF:
         return value
-    if type(value) is int:
+    if isinstance(value, Fraction) or type(value) is int:
         return Fraction(value)
     if value == NEG_INF:
         return NEG_INF
@@ -46,10 +46,25 @@ def _valid_endpoint(value) -> Endpoint:
     raise StructureError(f"endpoint must be a rational or an infinity, got {value!r}")
 
 
+def _before(a: Endpoint, b: Endpoint) -> bool:
+    """a < b for stored endpoints: plain Fractions and the module's infinities.
+
+    The infinities are told apart by identity; two Fractions are compared by
+    cross-multiplying, which is exact because denominators are positive.  This
+    costs a small part of Fraction.__lt__, which goes through the numeric
+    tower, and it is the one endpoint order of every region operation.
+    """
+    if a is NEG_INF:
+        return b is not NEG_INF
+    if b is POS_INF:
+        return a is not POS_INF
+    if a is POS_INF or b is NEG_INF:
+        return False
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 def _is_infinite(value: Endpoint) -> bool:
-    # A Fraction is never infinite; asking Fraction.__eq__ about a float
-    # costs about a microsecond, the type test a few tens of nanoseconds.
-    return type(value) is not Fraction and (value == NEG_INF or value == POS_INF)
+    return value is NEG_INF or value is POS_INF
 
 
 def parse_endpoint(text: str) -> Endpoint:
@@ -83,9 +98,9 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
 
 
 def endpoint_text(value: Endpoint) -> str:
-    if value == NEG_INF:
+    if value is NEG_INF:
         return "-inf"
-    if value == POS_INF:
+    if value is POS_INF:
         return "inf"
     return str(value)
 
@@ -95,22 +110,23 @@ class RationalRegion:
     intervals: tuple[tuple[Endpoint, Endpoint], ...]
 
     def __post_init__(self):
-        # An int endpoint is stored as a Fraction, and an infinity as NEG_INF
-        # or POS_INF; the tuple is rebuilt only when an endpoint changes.
+        # An int or a Fraction subclass endpoint is stored as a plain
+        # Fraction, and an infinity as NEG_INF or POS_INF; the tuple is
+        # rebuilt only when an endpoint changes.
         previous_hi = None
         changed = False
         for lo, hi in self.intervals:
-            if type(lo) is not Fraction:  # a Fraction needs no further check
+            if type(lo) is not Fraction and lo is not NEG_INF and lo is not POS_INF:
                 valid = _valid_endpoint(lo)
                 changed |= valid is not lo
                 lo = valid
-            if type(hi) is not Fraction:
+            if type(hi) is not Fraction and hi is not NEG_INF and hi is not POS_INF:
                 valid = _valid_endpoint(hi)
                 changed |= valid is not hi
                 hi = valid
-            if not lo < hi:
+            if not _before(lo, hi):
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
-            if previous_hi is not None and not previous_hi < lo:
+            if previous_hi is not None and not _before(previous_hi, lo):
                 raise StructureError("intervals must be sorted, disjoint and non-touching")
             previous_hi = hi
         if changed:
@@ -137,7 +153,7 @@ class RationalRegion:
         cleaned = []
         for lo, hi in pairs:
             lo, hi = _valid_endpoint(lo), _valid_endpoint(hi)
-            if not lo < hi:
+            if not _before(lo, hi):
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             cleaned.append((lo, hi))
         return _merged(cleaned)
@@ -173,7 +189,7 @@ class RationalRegion:
 
     @property
     def is_bounded(self) -> bool:
-        return all(lo != NEG_INF and hi != POS_INF for lo, hi in self.intervals)
+        return all(lo is not NEG_INF and hi is not POS_INF for lo, hi in self.intervals)
 
     # Boolean operations ---------------------------------------------------
     #
@@ -188,14 +204,14 @@ class RationalRegion:
         out: list[tuple[Endpoint, Endpoint]] = []
         i = j = 0
         while i < len(a) or j < len(b):
-            if j == len(b) or (i < len(a) and a[i][0] <= b[j][0]):
+            if j == len(b) or (i < len(a) and not _before(b[j][0], a[i][0])):
                 lo, hi = a[i]
                 i += 1
             else:
                 lo, hi = b[j]
                 j += 1
-            if out and lo <= out[-1][1]:
-                if out[-1][1] < hi:
+            if out and not _before(out[-1][1], lo):
+                if _before(out[-1][1], hi):
                     out[-1] = (out[-1][0], hi)
             else:
                 out.append((lo, hi))
@@ -208,13 +224,13 @@ class RationalRegion:
         i = j = 0
         while i < len(a) and j < len(b):
             (alo, ahi), (blo, bhi) = a[i], b[j]
-            if ahi < bhi:  # a[i] ends first and meets no later b
-                if blo < ahi:
-                    out.append((max(alo, blo), ahi))
+            if _before(ahi, bhi):  # a[i] ends first and meets no later b
+                if _before(blo, ahi):
+                    out.append((blo if _before(alo, blo) else alo, ahi))
                 i += 1
             else:
-                if alo < bhi:
-                    out.append((max(alo, blo), bhi))
+                if _before(alo, bhi):
+                    out.append((blo if _before(alo, blo) else alo, bhi))
                 j += 1
         return RationalRegion(tuple(out))
 
@@ -240,9 +256,9 @@ class RationalRegion:
         b = other.intervals
         j = 0
         for alo, ahi in self.intervals:
-            while j < len(b) and b[j][1] < ahi:
+            while j < len(b) and _before(b[j][1], ahi):
                 j += 1
-            if j == len(b) or alo < b[j][0]:
+            if j == len(b) or _before(alo, b[j][0]):
                 return False
         return True
 
@@ -266,12 +282,12 @@ class RationalRegion:
         i = j = 0
         while i < len(a) and j < len(b):
             (alo, ahi), (blo, bhi) = a[i], b[j]
-            if ahi < bhi:  # a[i] ends first and touches no later b
-                if blo <= ahi:
+            if _before(ahi, bhi):  # a[i] ends first and touches no later b
+                if not _before(ahi, blo):
                     return True
                 i += 1
             else:
-                if alo <= bhi:
+                if not _before(bhi, alo):
                     return True
                 j += 1
         return False
@@ -302,9 +318,9 @@ def _enclosing(inner: RationalRegion, outer: RationalRegion):
     b = outer.intervals
     j = 0
     for lo, hi in inner.intervals:
-        while j < len(b) and not (hi < b[j][1] or (b[j][1] == POS_INF and hi == POS_INF)):
+        while j < len(b) and not (_before(hi, b[j][1]) or (hi is POS_INF and b[j][1] is POS_INF)):
             j += 1
-        if j < len(b) and (b[j][0] < lo or (b[j][0] == NEG_INF and lo == NEG_INF)):
+        if j < len(b) and (_before(b[j][0], lo) or (lo is NEG_INF and b[j][0] is NEG_INF)):
             yield b[j]
         else:
             yield None
@@ -314,8 +330,9 @@ def _merged(pairs) -> RationalRegion:
     """Normal form of unsorted interval pairs: sort, then merge touching ones."""
     out: list[tuple[Endpoint, Endpoint]] = []
     for lo, hi in sorted(pairs, key=operator.itemgetter(0)):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        if out and not _before(out[-1][1], lo):
+            if _before(out[-1][1], hi):
+                out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
     return RationalRegion(tuple(out))
@@ -329,8 +346,8 @@ def expand(region: RationalRegion, margin: Fraction) -> RationalRegion:
         raise StructureError("margin must be positive")
     pairs = []
     for lo, hi in region.intervals:
-        new_lo = lo if lo == NEG_INF else lo - margin
-        new_hi = hi if hi == POS_INF else hi + margin
+        new_lo = lo if lo is NEG_INF else lo - margin
+        new_hi = hi if hi is POS_INF else hi + margin
         pairs.append((new_lo, new_hi))
     return _merged(pairs)
 
@@ -348,8 +365,8 @@ def interpolate(inner: RationalRegion, outer: RationalRegion) -> RationalRegion:
         raise Refusal("interpolation needs the inner region well inside the outer one")
     pairs = []
     for (lo, hi), (blo, bhi) in zip(inner.intervals, _enclosing(inner, outer)):
-        new_lo = lo - 1 if blo == NEG_INF else (lo + blo) / 2
-        new_hi = hi + 1 if bhi == POS_INF else (hi + bhi) / 2
+        new_lo = lo - 1 if blo is NEG_INF else (lo + blo) / 2
+        new_hi = hi + 1 if bhi is POS_INF else (hi + bhi) / 2
         pairs.append((new_lo, new_hi))
     return _merged(pairs)
 
@@ -367,14 +384,14 @@ def affine_preimage(alpha: Fraction, beta: Fraction, region: RationalRegion) -> 
         raise Refusal("slope zero is not a perfect self-map of the line")
 
     def pull(value):
-        if value == NEG_INF:
+        if value is NEG_INF:
             return NEG_INF if alpha > 0 else POS_INF
-        if value == POS_INF:
+        if value is POS_INF:
             return POS_INF if alpha > 0 else NEG_INF
         return (value - beta) / alpha
 
     pairs = []
     for lo, hi in region.intervals:
         a, b = pull(lo), pull(hi)
-        pairs.append((a, b) if a < b else (b, a))
+        pairs.append((a, b) if _before(a, b) else (b, a))
     return _merged(pairs)

@@ -58,3 +58,27 @@ def law_walks(monkeypatch):
 
     monkeypatch.setattr(spaces, "first_law_violation", recording)
     return walked
+
+
+@pytest.fixture
+def fraction_orderings(monkeypatch):
+    """The operator names of every Fraction order comparison made, in order.
+
+    Fraction's rich comparisons are plain class attributes, so patching them
+    on the class counts every call, from the package and from the test alike.
+    """
+    from fractions import Fraction
+
+    made = []
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def compare(a, b):
+            made.append(name)
+            return original(a, b)
+        return compare
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    return made

@@ -48,6 +48,7 @@ _ROWS = (f"{_ORACLES}::TestAxiomRows::test_reports_equal_the_element_scan",
 _BC = (f"{_ORACLES}::TestBoundednessRows::test_reports_equal_the_element_scan",)
 _GRID = (f"{_ORACLES}::TestRegionSweeps::test_sweeps_equal_the_pairwise_scans_on_the_grid",)
 _MERGE = (f"{_ORACLES}::TestRegionSweeps::test_normal_form_of_unsorted_pairs_equals_the_full_sort",)
+_ORDER = (f"{_ORACLES}::TestEndpointOrder::test_before_equals_fraction_order_on_a_grid",)
 _SUPPORTS = ("tests/test_clusters.py::TestSupportsCluster"
              "::test_equals_the_checker_on_every_relation_up_to_four_atoms",)
 _RC_LAWS = f"{_ORACLES}::TestRegularClosedLawsOnAtoms"
@@ -110,33 +111,45 @@ MUTANTS = (
            "if row != 1 << i), None)",
            _BC),
     Mutant("join-keeps-touching-ends-apart", f"{PACKAGE}/regions.py",
-           "if out and lo <= out[-1][1]:\n                if out[-1][1] < hi:",
-           "if out and lo < out[-1][1]:\n                if out[-1][1] < hi:",
+           "if out and not _before(out[-1][1], lo):\n                if",
+           "if out and _before(lo, out[-1][1]):\n                if",
            _GRID),
     Mutant("meet-keeps-touching-points", f"{PACKAGE}/regions.py",
-           "if blo < ahi:",
-           "if blo <= ahi:",
+           "if _before(blo, ahi):",
+           "if not _before(ahi, blo):",
            _GRID),
     Mutant("complement-keeps-left-ray-gap", f"{PACKAGE}/regions.py",
            "start = 1 if _is_infinite(ends[1]) else 0",
            "start = 0",
            _GRID),
     Mutant("le-skips-an-equal-end", f"{PACKAGE}/regions.py",
-           "while j < len(b) and b[j][1] < ahi:",
-           "while j < len(b) and b[j][1] <= ahi:",
+           "while j < len(b) and _before(b[j][1], ahi):",
+           "while j < len(b) and not _before(ahi, b[j][1]):",
            _GRID),
     Mutant("touches-ignores-shared-ends", f"{PACKAGE}/regions.py",
-           "if blo <= ahi:\n                    return True",
-           "if blo < ahi:\n                    return True",
+           "if not _before(ahi, blo):\n                    return True",
+           "if _before(blo, ahi):\n                    return True",
            _GRID),
     Mutant("well-inside-at-a-closed-end", f"{PACKAGE}/regions.py",
-           "not (hi < b[j][1] or",
-           "not (hi <= b[j][1] or",
+           "not (_before(hi, b[j][1]) or",
+           "not (not _before(b[j][1], hi) or",
            _GRID),
     Mutant("merged-keeps-touching-ends-apart", f"{PACKAGE}/regions.py",
-           "if out and lo <= out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
-           "if out and lo < out[-1][1]:\n            out[-1] = (out[-1][0], max(out[-1][1], hi))",
+           "if out and not _before(out[-1][1], lo):\n            if",
+           "if out and _before(lo, out[-1][1]):\n            if",
            _MERGE),
+    Mutant("before-not-strict", f"{PACKAGE}/regions.py",
+           "a.numerator * b.denominator < b.numerator * a.denominator",
+           "a.numerator * b.denominator <= b.numerator * a.denominator",
+           _ORDER),
+    Mutant("before-puts-a-fraction-before-neg-inf", f"{PACKAGE}/regions.py",
+           "if a is POS_INF or b is NEG_INF:\n        return False",
+           "if a is POS_INF or b is NEG_INF:\n        return a is not POS_INF",
+           _ORDER),
+    Mutant("before-puts-neg-inf-before-itself", f"{PACKAGE}/regions.py",
+           "return b is not NEG_INF",
+           "return True",
+           _ORDER),
     Mutant("supports-cluster-needs-every-row-inside", f"{PACKAGE}/clusters.py",
            "closed = False\n    for i, row in enumerate(rows):\n        if s >> i & 1:\n"
            "            if row & s != s:\n                return False\n"
@@ -159,6 +172,11 @@ MUTANTS = (
            "for k, atom in enumerate(rc.atoms) if atom >> x & 1)",
            "for k, atom in enumerate(rc.atoms) if not atom >> x & 1)",
            ("tests/test_duality.py::TestPointEmbedding::test_discrete_spaces_certified",)),
+    Mutant("regular-closed-sets-skip-the-interior", f"{PACKAGE}/spaces.py",
+           "if cl[top ^ cl[top ^ m]] == m)",
+           "if cl[m] == m)",
+           ("tests/test_oracles.py::TestSpacePredicates"
+            "::test_regular_closed_sets_equal_the_closure_interior_scan",)),
     Mutant("rc-law-violation-without-row-test", f"{PACKAGE}/spaces.py",
            "sorted(table) == sorted(rc.carrier)\n"
            "            and _meeting_rows(images) == contact.rows):",

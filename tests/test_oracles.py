@@ -12,10 +12,11 @@ report, table, assignment and refusal must agree exactly, least witnesses
 and messages included.
 
 The region calculator's sweeps over the normal form are checked against
-the pairwise definitions they replaced, and the polynomial connectedness
-and closed-map tests against the scans over all point sets.  The atom test
-of the regular closed certificates is checked against the element walk of
-first_law_violation.
+the pairwise definitions they replaced, and its endpoint order against
+Fraction's own.  The polynomial connectedness and closed-map tests and the
+regular closed sets from one closure table are checked against the scans
+over all point sets, and the atom test of the regular closed certificates
+against the element walk of first_law_violation.
 """
 
 import dataclasses
@@ -61,7 +62,7 @@ from contact_duality.localcontact import (
     alexandroff_extension,
     check_lca_axioms,
 )
-from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, interpolate
+from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, _before, interpolate
 from contact_duality.report import Report, Violation
 from contact_duality.spaces import (
     SpaceMap,
@@ -70,6 +71,7 @@ from contact_duality.spaces import (
     map_predicates,
     rc_algebra,
     rc_law_violation,
+    regular_closed_sets,
     space_predicates,
 )
 from test_duality import morphism_candidates
@@ -579,6 +581,11 @@ def oracle_closed_sets(space):
     return tuple(m for m in range(space.everything + 1) if space.is_closed(m))
 
 
+def oracle_regular_closed_sets(space):
+    cl, iv = space.closure, space.interior
+    return tuple(m for m in range(space.everything + 1) if cl(iv(m)) == m)
+
+
 def oracle_closed(f):
     return all(f.target.is_closed(f.image(s)) for s in oracle_closed_sets(f.source))
 
@@ -946,6 +953,40 @@ class TestRegionSweeps:
             assert RationalRegion.of(*pairs) == oracle_merged(pairs), pairs
 
 
+class TestEndpointOrder:
+    def test_before_equals_fraction_order_on_a_grid(self):
+        # both signs and denominators 1 to 7, so equal values occur as
+        # distinct objects spelled differently (2/4 and 1/2, 6/3 and 2)
+        finite = [Fraction(n, d) for n in range(-8, 9) for d in range(1, 8)]
+        ends = [NEG_INF, POS_INF, *finite]
+        assert len({id(end) for end in ends}) == len(ends)
+        verdicts = set()
+        for a in ends:
+            for b in ends:
+                assert _before(a, b) == (a < b), (a, b)
+                verdicts.add((a == b, _before(a, b)))
+        assert verdicts == {(True, False), (False, True), (False, False)}
+
+
+class TestNoFractionOrder:
+    """The sweeps order endpoints with _before alone.
+
+    The grid regions are built before the count starts; the results of the
+    operations, which the constructor checks for normal form, are built
+    inside it.
+    """
+
+    def test_sweeps_make_no_fraction_comparison(self, fraction_orderings):
+        regions = grid_regions()
+        sweeps = [fast for name, fast, _ in REGION_SWEEPS if name != "interpolate"]
+        assert len(sweeps) == 7
+        for f in regions:
+            for g in regions:
+                for fast in sweeps:
+                    fast(f, g)
+        assert fraction_orderings == []
+
+
 # space and map predicates ----------------------------------------------------------
 
 
@@ -961,6 +1002,15 @@ class TestSpacePredicates:
             assert connected == oracle_connected(space), space.min_nbhd
             verdicts.add(connected)
         assert verdicts == {True, False}
+
+    def test_regular_closed_sets_equal_the_closure_interior_scan(self):
+        spaces = [space for n in (1, 2, 3, 4) for space in self.SPACES[n]]
+        sizes = set()
+        for space in spaces:
+            carrier = regular_closed_sets(space)
+            assert carrier == oracle_regular_closed_sets(space), space.min_nbhd
+            sizes.add(len(carrier))
+        assert sizes == {2, 4, 8, 16}
 
     def test_closedness_equals_the_closed_set_scan(self):
         # every map between spaces of at most 3 points, and every map between

@@ -71,6 +71,24 @@ class TestNormalForm:
         kept = ((Fr(0), Fr(1)), (Fr(2), POS_INF))
         assert RationalRegion(kept).intervals is kept
 
+    def test_fraction_subclass_endpoints_are_stored_as_plain_fractions(self):
+        class Rat(Fr):
+            def __lt__(self, other):  # a wrong order the regions must not use
+                return not Fr.__lt__(self, other)
+
+        built = RationalRegion(((Rat(0), Rat(1)), (Rat(2), POS_INF)))
+        assert built == RationalRegion(((Fr(0), Fr(1)), (Fr(2), POS_INF)))
+        assert all(type(end) is Fr for end in built.intervals[0] + built.intervals[1][:1])
+        merged = RationalRegion.of((Rat(1), Rat(3)), (Rat(-1), Rat(1)))
+        assert merged == region((-1, 3)) and all(type(end) is Fr for end in merged.intervals[0])
+        for pair in ((Rat(1), Rat(0)), (Rat(1), Rat(1)), (Rat(1, 2), Rat(2, 4))):
+            with pytest.raises(StructureError, match="degenerate or reversed interval"):
+                RationalRegion((pair,))
+            with pytest.raises(StructureError, match="degenerate or reversed interval"):
+                RationalRegion.of(pair)
+        with pytest.raises(StructureError, match="sorted, disjoint and non-touching"):
+            RationalRegion(((Rat(2), Rat(3)), (Rat(0), Rat(1))))
+
     def test_text_round_trip(self):
         for text in ("empty", "[0,1]", "[-inf,0] u [1/2,3/4]", "[-1/3,22/7] u [5,inf]"):
             assert RationalRegion.from_text(text).to_text() == text
