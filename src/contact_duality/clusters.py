@@ -5,14 +5,13 @@ finite powerset algebra every such set is the up-closure of a nonempty atom
 set, so clusters are represented by their atom support.
 
 supports_cluster decides on the atom rows whether a support's up-closure is
-a cluster.  Two enumeration backends share one output contract, and both
-take a ContactRelation only: the clique path keeps the maximal cliques of
-the atom graph that pass supports_cluster, and the grill path tests every
-atom support for pairwise contact and maximality at element level, under
-TABLE_ELEMENT_CAP; dual spaces are still built on it, and it is the test
-oracle for the clique path.  check_cluster, the element-level test, accepts
-any relation with the shared query surface; the package runs it only to name
-the witness of a support that fails supports_cluster.
+a cluster, and it is the one cluster test of both enumeration backends.
+Both take a ContactRelation only and give the same ascending list: the
+clique path keeps the maximal cliques of the atom graph that pass it, and
+the grill path, on which dual spaces are still built, tests every atom
+support under TABLE_ELEMENT_CAP.  check_cluster, the element-level test,
+accepts any relation with the shared query surface; the package runs it
+only to name the witness of a support that fails supports_cluster.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ from .errors import CapExceeded, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension
 from .report import Report, Violation
 
+# the grill scans 2^n supports for a dual space whose region table has 2^n
+# entries, one output line each under dualize
 TABLE_ELEMENT_CAP = 1 << 16
 
 
@@ -147,44 +148,20 @@ def enumerate_clusters(relation: ContactRelation) -> list[Cluster]:
 
 
 def grill_clusters(relation: ContactRelation) -> list[Cluster]:
-    """Brute-force cluster enumeration over all nonempty atom supports.
+    """Cluster enumeration by scanning every nonempty atom support.
 
-    Every join-prime upward-closed set of a finite powerset algebra is the
-    up-closure of an atom set, so scanning supports is exhaustive.  Join
-    primality of an up-closure holds by construction (non-members form a
-    principal down-set), which the unit tests re-verify against the full
-    condition checker; here only pairwise contact and maximality are tested,
-    at element level.
+    Every cluster of a finite powerset algebra is the up-closure of its atom
+    support, and supports_cluster is exact for up-closures, so testing each
+    support in ascending order gives every cluster in canonical order.
+    TABLE_ELEMENT_CAP bounds the scan together with the region table of the
+    dual space built on it.
     """
-    require_rows(relation, "grill enumeration")
+    rows = require_rows(relation, "grill enumeration").rows
     alg = relation.algebra
     if alg.size > TABLE_ELEMENT_CAP:
         raise CapExceeded(
             f"grill enumeration capped at {TABLE_ELEMENT_CAP} elements, got {alg.size}")
-    contact = relation.contact
-    elements = range(alg.size)
-    found = []
-    for support in range(1, alg.size):
-        members = [a for a in elements if a & support]
-        ok = True
-        for a in members:
-            if not ok:
-                break
-            for b in members:
-                if not contact(a, b):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for a in elements:
-            if a & support:
-                continue
-            if all(contact(a, b) for b in members):
-                ok = False
-                break
-        if ok:
-            found.append(support)
-    return [Cluster(relation, s) for s in found]
+    return [Cluster(relation, s) for s in range(1, alg.size) if supports_cluster(rows, s)]
 
 
 def bounded_clusters(structure: LocalContactAlgebra) -> list[Cluster]:

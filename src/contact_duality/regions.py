@@ -17,8 +17,8 @@ morphism axioms about ideals are exercised non-vacuously here.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,10 +326,14 @@ def _enclosing(inner: RationalRegion, outer: RationalRegion):
             yield None
 
 
+# orders interval pairs by their start, by _before alone
+_BY_START = functools.cmp_to_key(lambda p, q: _before(q[0], p[0]) - _before(p[0], q[0]))
+
+
 def _merged(pairs) -> RationalRegion:
     """Normal form of unsorted interval pairs: sort, then merge touching ones."""
     out: list[tuple[Endpoint, Endpoint]] = []
-    for lo, hi in sorted(pairs, key=operator.itemgetter(0)):
+    for lo, hi in sorted(pairs, key=_BY_START):
         if out and not _before(out[-1][1], lo):
             if _before(out[-1][1], hi):
                 out[-1] = (out[-1][0], hi)

@@ -138,6 +138,10 @@ MUTANTS = (
            "if out and not _before(out[-1][1], lo):\n            if",
            "if out and _before(lo, out[-1][1]):\n            if",
            _MERGE),
+    Mutant("merged-sorts-by-end", f"{PACKAGE}/regions.py",
+           "lambda p, q: _before(q[0], p[0]) - _before(p[0], q[0])",
+           "lambda p, q: _before(q[1], p[1]) - _before(p[1], q[1])",
+           _MERGE),
     Mutant("before-not-strict", f"{PACKAGE}/regions.py",
            "a.numerator * b.denominator < b.numerator * a.denominator",
            "a.numerator * b.denominator <= b.numerator * a.denominator",
@@ -162,6 +166,12 @@ MUTANTS = (
            "if row & s != s:\n                return False\n",
            "",
            _SUPPORTS),
+    Mutant("grill-skips-the-top-support", f"{PACKAGE}/clusters.py",
+           "for s in range(1, alg.size) if supports_cluster(rows, s)]",
+           "for s in range(1, alg.top) if supports_cluster(rows, s)]",
+           ("tests/test_clusters.py::TestEnumeration"
+            "::test_grill_shortcut_agrees_with_full_checker",
+            f"{_ORACLES}::TestGrillRows::test_supports_equal_the_element_scan_up_to_four_atoms")),
     Mutant("dual-of-morphism-without-up-closure-test", f"{PACKAGE}/duality.py",
            "if (traced != [a & support != 0 for a in elements]\n"
            "                or not supports_cluster(ext_src.rows, support)):",

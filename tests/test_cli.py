@@ -16,7 +16,7 @@ from contact_duality.localcontact import nca_as_lca
 from contact_duality.cli import REGION_SAMPLE_CAP, main
 from corpus import discrete
 from test_golden import ROOT, command_lines
-from contact_duality.spaces import SpaceMap
+from contact_duality.spaces import SpaceMap, discrete_space
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -128,6 +128,15 @@ def structure_file(tmp_path, shape, n, bounded):
     return path
 
 
+def identity_morphism_file(tmp_path, n):
+    """The identity morphism of the n-atom overlap structure with the improper ideal."""
+    algebra = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(n)))
+    structure = nca_as_lca(overlap_contact(algebra))
+    path = tmp_path / f"identity{n}.json"
+    path.write_text(jsonio.dumps(jsonio.morphism_to_json(identity_morphism(structure))))
+    return path
+
+
 class TestClusters:
     def test_path_relation_lists_two(self, capsys):
         code, out, _ = run(capsys, "clusters", str(DATA / "path_pq_r.json"))
@@ -226,10 +235,7 @@ class TestMapsAndMorphisms:
     @pytest.mark.parametrize("verb", ["check-morphism", "validate"])
     def test_identity_morphism_on_fourteen_atoms_checks_quickly(self, verb, tmp_path, capsys):
         # the element walk visited 4^14 pairs for PAL2 and again for PAL3
-        algebra = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(14)))
-        structure = nca_as_lca(overlap_contact(algebra))
-        path = tmp_path / "identity14.json"
-        path.write_text(jsonio.dumps(jsonio.morphism_to_json(identity_morphism(structure))))
+        path = identity_morphism_file(tmp_path, 14)
         start = time.perf_counter()
         code, out, _ = run(capsys, verb, str(path))
         assert time.perf_counter() - start < 5.0
@@ -298,6 +304,52 @@ class TestNoElementWalk:
         assert codes == {0, 1, 2}
         assert cluster_walks == []
         assert law_walks == []
+
+
+class TestScaledDualSpaces:
+    """Dual spaces below the 16-atom cap are built quickly.
+
+    An element-level cluster scan over every support took 19-37 s on the
+    12-atom inputs, and longer at 16 atoms.
+    """
+
+    def timed(self, capsys, *argv):
+        start = time.perf_counter()
+        found = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        return found
+
+    def test_dualize_at_the_cap(self, tmp_path, capsys):
+        code, out, _ = self.timed(capsys, "dualize",
+                                  str(structure_file(tmp_path, "overlap", 16, 16)))
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[1] == "points: " + ", ".join(f"{{a{i}}}" for i in range(16))
+        assert len(lines) == 2 + (1 << 16)
+
+    def test_dualize_over_the_cap_refuses(self, tmp_path, capsys):
+        found = self.timed(capsys, "dualize", str(structure_file(tmp_path, "overlap", 17, 17)))
+        assert found == (1, "", "refused: grill enumeration capped at 65536 elements, got 131072\n")
+
+    def test_roundtrip_of_the_discrete_space_at_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "discrete16.json"
+        space = discrete_space(f"x{i}" for i in range(16))
+        path.write_text(jsonio.dumps(jsonio.space_to_json(space)))
+        found = self.timed(capsys, "roundtrip", str(path))
+        assert found == (0, "roundtrip: space: pass\n", "")
+
+    def test_roundtrip_of_a_twelve_atom_structure(self, tmp_path, capsys):
+        code, out, _ = self.timed(capsys, "roundtrip",
+                                  str(structure_file(tmp_path, "overlap", 12, 12)))
+        assert code == 0
+        assert out.startswith("roundtrip: structure: pass\n")
+
+    def test_identity_morphism_on_twelve_atoms(self, tmp_path, capsys):
+        path = str(identity_morphism_file(tmp_path, 12))
+        found = self.timed(capsys, "dual-map", path)
+        assert found == (0, "".join(f"{{a{i}}} -> {{a{i}}}\n" for i in range(12)), "")
+        found = self.timed(capsys, "roundtrip", path)
+        assert found == (0, "roundtrip: morphism naturality: pass\n", "")
 
 
 class TestRegionVerb:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -63,6 +64,15 @@ def improper_overlap(n):
 def proper_overlap(n, generator):
     alg = FiniteBooleanAlgebra(tuple("pqrs"[:n]))
     return LocalContactAlgebra(overlap_contact(alg), BoundedIdeal(alg, generator))
+
+
+def boolean_homomorphisms(source, target):
+    """Every Boolean homomorphism table: atom j of the target goes to the
+    atom pick[j] of the source."""
+    A, B = source.algebra, target.algebra
+    return {tuple(sum(1 << j for j in range(B.atom_count) if a >> pick[j] & 1)
+                  for a in A.elements())
+            for pick in product(range(A.atom_count), repeat=B.atom_count)}
 
 
 def morphism_candidates():
@@ -343,6 +353,32 @@ class TestCheckMorphism:
                        if check_morphism(AlgebraMorphism(two, one, t)).ok}
         # dual of each inclusion of the point into the pair
         assert into_narrow == {(0, 1, 0, 1), (0, 0, 1, 1)}
+
+    def test_lawful_tables_between_compact_overlap_structures_are_the_homomorphisms(self):
+        # every table, at each size pair whose tables number at most 8^4
+        counts = {}
+        for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3)):
+            s, t = improper_overlap(n), improper_overlap(m)
+            lawful = {table for table in product(range(t.algebra.size), repeat=s.algebra.size)
+                      if check_morphism(AlgebraMorphism(s, t, table)).ok}
+            assert lawful == boolean_homomorphisms(s, t), (n, m)
+            counts[n, m] = len(lawful)
+        assert counts == {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 4, (2, 3): 8}
+
+    def test_lawful_tables_from_three_atoms_to_two_are_the_homomorphisms(self):
+        # all 4^6 tables that send bottom to bottom and top to top, and a
+        # seeded sample of the 61,440 others, of which none is lawful
+        s, t = improper_overlap(3), improper_overlap(2)
+        fixed = [(0, *middle, 3) for middle in product(range(4), repeat=6)]
+        lawful = {table for table in fixed if check_morphism(AlgebraMorphism(s, t, table)).ok}
+        assert lawful == boolean_homomorphisms(s, t)
+        assert len(lawful) == 9
+        rng = random.Random(1907)
+        ends = [pair for pair in product(range(4), repeat=2) if pair != (0, 3)]
+        for _ in range(1500):
+            bottom, top = rng.choice(ends)
+            table = (bottom, *(rng.randrange(4) for _ in range(6)), top)
+            assert not check_morphism(AlgebraMorphism(s, t, table)).ok, table
 
 
 class TestRegularize:

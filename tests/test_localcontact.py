@@ -57,6 +57,16 @@ class TestBoundednessAxioms:
                 assert s.improper
                 assert s.contact.rows == overlap_contact(s.algebra).rows
 
+    def test_only_overlap_with_the_improper_ideal_passes_up_to_five_atoms(self):
+        # BC3 holds on the rows only when every row is its own atom and every
+        # atom is bounded, so each size has exactly one valid structure
+        for n in (1, 2, 3, 4, 5):
+            structures = ideal_structures(n)
+            assert len(structures) == 1 << (n * (n - 1) // 2 + n)
+            (valid,) = [s for s in structures if check_lca_axioms(s).ok]
+            assert valid.improper
+            assert valid.contact.rows == overlap_contact(valid.algebra).rows
+
 
 class TestAlexandroffExtension:
     def test_improper_ideal_changes_nothing(self):

@@ -6,10 +6,11 @@ complement" asked of that predicate, and the morphism checker,
 regularization, dual of a morphism and closed-embedding test written with
 those two.  The CA, NCA, CON and LL decisions on atom rows are checked
 against the element scans of the axioms (oracle_check_axioms), the
-boundedness axioms against their element scan, and the dual topology
-against the closure of the regions under union and intersection.  Every
-report, table, assignment and refusal must agree exactly, least witnesses
-and messages included.
+boundedness axioms against their element scan, the grill's row test over
+every atom support against the element loop it replaced, and the dual
+topology against the closure of the regions under union and intersection.
+Every report, table, assignment and refusal must agree exactly, least
+witnesses and messages included.
 
 The region calculator's sweeps over the normal form are checked against
 the pairwise definitions they replaced, and its endpoint order against
@@ -27,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from contact_duality.boolalg import FiniteBooleanAlgebra, atom_unions
-from contact_duality.clusters import check_cluster
+from contact_duality.clusters import check_cluster, grill_clusters
 from contact_duality import contact
 from contact_duality.contact import (
     ContactQuery,
@@ -44,6 +45,7 @@ from corpus import (
     discrete,
     dual_morphism_corpus,
     ideal_structures,
+    random_atom_relation,
     small_algebra,
 )
 from contact_duality.duality import (
@@ -918,6 +920,58 @@ class TestDualTopology:
         assert built == 984
 
 
+# cluster enumeration ------------------------------------------------------------
+
+
+def oracle_grill_supports(relation):
+    """Every nonempty atom support whose up-closure touches pairwise and is
+    maximal, tested on the up-closure's elements."""
+    alg = relation.algebra
+    contact = relation.contact
+    elements = range(alg.size)
+    found = []
+    for support in range(1, alg.size):
+        members = [a for a in elements if a & support]
+        ok = True
+        for a in members:
+            if not ok:
+                break
+            for b in members:
+                if not contact(a, b):
+                    ok = False
+                    break
+        if not ok:
+            continue
+        for a in elements:
+            if a & support:
+                continue
+            if all(contact(a, b) for b in members):
+                ok = False
+                break
+        if ok:
+            found.append(support)
+    return found
+
+
+class TestGrillRows:
+    def test_supports_equal_the_element_scan_up_to_four_atoms(self):
+        relations = [rel for n in (1, 2, 3, 4) for rel in atom_relations(n)]
+        assert len(relations) == 75
+        counts = set()
+        for rel in relations:
+            supports = [c.support for c in grill_clusters(rel)]
+            assert supports == oracle_grill_supports(rel), rel.rows
+            counts.add(len(supports))
+        assert counts == {0, 1, 2, 3, 4}
+
+    def test_supports_equal_the_element_scan_on_seeded_six_atom_relations(self):
+        rng = random.Random(1966)
+        for _ in range(30):
+            rel = random_atom_relation(6, rng)
+            assert [c.support for c in grill_clusters(rel)] == oracle_grill_supports(rel), \
+                rel.rows
+
+
 # region sweeps ----------------------------------------------------------------
 
 GRID = (NEG_INF, Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), POS_INF)
@@ -969,7 +1023,8 @@ class TestEndpointOrder:
 
 
 class TestNoFractionOrder:
-    """The sweeps order endpoints with _before alone.
+    """The sweeps and the normal form of unsorted pairs order endpoints with
+    _before alone.
 
     The grid regions are built before the count starts; the results of the
     operations, which the constructor checks for normal form, are built
@@ -984,6 +1039,18 @@ class TestNoFractionOrder:
             for g in regions:
                 for fast in sweeps:
                     fast(f, g)
+        assert fraction_orderings == []
+
+    def test_normal_form_of_unsorted_pairs_makes_no_fraction_comparison(
+            self, fraction_orderings):
+        # intervals as GRID index pairs, so that choosing them compares no Fraction
+        spans = list(itertools.combinations(range(len(GRID)), 2))
+        unsorted = 0
+        for chosen in itertools.product(spans, repeat=3):
+            if sorted(chosen) != list(chosen):
+                RationalRegion.of(*((GRID[i], GRID[j]) for i, j in chosen))
+                unsorted += 1
+        assert unsorted == 21 ** 3 - 1771  # all triples less the sorted ones
         assert fraction_orderings == []
 
 

@@ -64,6 +64,13 @@ def test_boundedness_rows_equal_the_element_scan(structure):
     assert check_lca_axioms(structure) == oracle_check_lca_axioms(structure)
 
 
+@settings(max_examples=150)
+@given(structures(8))
+def test_boundedness_passes_exactly_on_overlap_with_the_improper_ideal(structure):
+    overlap = all(row == 1 << i for i, row in enumerate(structure.contact.rows))
+    assert check_lca_axioms(structure).ok == (overlap and structure.improper)
+
+
 @settings(max_examples=25)
 @given(relations(5))
 def test_ll_rows_equal_the_element_scan(rel):
