@@ -21,7 +21,6 @@ from .contact import (
     ContactRelation,
     ElementContact,
     atom_restriction,
-    ca_isomorphic,
     check_axioms,
     extremal_contacts,
     overlap_contact,

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions
-from .errors import CapExceeded, StructureError
+from .errors import StructureError
 from .report import Report, Violation
 
-ISO_ATOM_CAP = 10
 _TABLE_LIMIT = 16  # the per-element reach table is kept only up to this width
 
 
@@ -278,63 +277,3 @@ def _row_ll6(r, alg):
 
 _ROW_CHECKS = {"CA": (), "NCA": (_row_c5, _row_c6), "CON": (_row_con,),
                "LL": (_row_ll5, _row_ll6)}
-
-
-def ca_isomorphic(first: ContactRelation, second: ContactRelation) -> tuple[int, ...] | None:
-    """Atom permutation carrying one relation onto the other, if any.
-
-    A Boolean isomorphism of powerset algebras is exactly an atom bijection,
-    and it preserves lifted contact iff it preserves the atom relation, so
-    this is graph isomorphism on atom graphs.  Backtracking with degree
-    pruning; refuses above ISO_ATOM_CAP atoms.
-    """
-    n = first.algebra.atom_count
-    if n != second.algebra.atom_count:
-        return None
-    if n > ISO_ATOM_CAP or second.algebra.atom_count > ISO_ATOM_CAP:
-        raise CapExceeded(f"isomorphism search capped at {ISO_ATOM_CAP} atoms")
-
-    deg1 = [bin(row).count("1") for row in first.rows]
-    deg2 = [bin(row).count("1") for row in second.rows]
-    if sorted(deg1) != sorted(deg2):
-        return None
-
-    assignment: list[int] = []
-    used = [False] * n
-
-    def consistent(i: int, j: int) -> bool:
-        if deg1[i] != deg2[j]:
-            return False
-        for k, jk in enumerate(assignment):
-            if (first.rows[i] >> k & 1) != (second.rows[j] >> jk & 1):
-                return False
-        return True
-
-    def extend() -> bool:
-        i = len(assignment)
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and consistent(i, j):
-                assignment.append(j)
-                used[j] = True
-                if extend():
-                    return True
-                used[j] = False
-                assignment.pop()
-        return False
-
-    if extend():
-        return tuple(assignment)
-    return None
-
-
-def apply_atom_permutation(relation: ContactRelation, perm: tuple[int, ...]) -> ContactRelation:
-    """Relation on the same algebra with atom i renamed to perm[i]."""
-    n = relation.algebra.atom_count
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if relation.rows[i] >> j & 1:
-                rows[perm[i]] |= 1 << perm[j]
-    return ContactRelation(relation.algebra, tuple(rows))

@@ -9,14 +9,17 @@ The regular closed sets of a finite space form a Boolean algebra carrying the
 standard contact relation (nonempty intersection); rc_algebra materializes it
 over its atoms and exports the contact relation in atom-backed form, which is
 what the duality machinery consumes.  Spaces are frozen values, so the
-regular closed algebra and the point embedding are built once per space object
-and kept on it (FiniteSpace.rc, FiniteSpace.embedding); they are dropped with
-the space.
+closure of every point set (one 2ⁿ table, which the regular closed and
+regular open sets are read off), the regular closed algebra and the point
+embedding are built once per space object and kept on it
+(FiniteSpace.closure_table, .rc, .embedding); they are dropped with the space.
 
 Every claim that a map is a Boolean isomorphism (preserving contact where
-that is claimed too) is named by first_law_violation, which walks the laws
-in one fixed order so that every certificate reports the same least witness.
-rc_law_violation decides claims onto regular closed sets on atom images first.
+that is claimed too) is decided by isomorphism_violation on the images of
+the atoms of a powerset algebra: the rc_algebra table, the double dual,
+ro_algebra and dense_subspace_isomorphism each reduce to it.  Only a table
+that fails it is walked by first_law_violation, which checks the laws in one
+fixed order over the caller's own domain, to name the least witness.
 """
 
 from __future__ import annotations
@@ -114,6 +117,12 @@ class FiniteSpace:
 
     def is_closed(self, m: int) -> bool:
         return self.closure(m) == m
+
+    @cached_property
+    def closure_table(self) -> tuple[int, ...]:
+        """The closure of every point set, by mask: closure preserves unions,
+        so the closure of m joins the closures of its points."""
+        return atom_unions([self.closure(1 << x) for x in range(self.point_count)])
 
     @cached_property
     def rc(self) -> "RegularClosedAlgebra":
@@ -314,27 +323,44 @@ def first_law_violation(domain, image, source: BooleanOps, target: BooleanOps,
     return None
 
 
-def _meeting_rows(sets) -> tuple[int, ...]:
-    """Per set, the mask of the positions of the sets it meets."""
-    return tuple(sum(1 << j for j, g in enumerate(sets) if f & g) for f in sets)
+def _meeting_rows(sets, touch=operator.and_) -> tuple[int, ...]:
+    """Per set, the mask of the positions of the sets it touches."""
+    return tuple(sum(1 << j for j, g in enumerate(sets) if touch(f, g)) for f in sets)
+
+
+def isomorphism_violation(table, carrier, target: BooleanOps, rows,
+                          walk: Callable[[], Violation | None]) -> Violation | None:
+    """None when table, over the atom masks of a powerset algebra, is a Boolean
+    isomorphism onto carrier under target's operations that keeps contact
+    (the source's atom rows; rows None claims no contact), else walk().
+
+    The table passes when it preserves target.join by the lowest-bit
+    recurrence table[a] == join(table[a & (a - 1)], table[a & -a]), is a
+    bijection onto carrier, and its atom images touch under target.contact
+    where rows say.  That is exact: a join-preserving bijection f of finite
+    lattices reflects order (a <= b iff f(a v b) = f(b) iff f(a) v f(b) =
+    f(b)), so it is an order isomorphism, which keeps meet and complement;
+    contact is additive over joins on both sides, so atom pairs decide it.
+    Any other table breaks a law, and walk, the caller's first_law_violation,
+    names the least one.
+    """
+    images = [table[1 << i] for i in range(len(table).bit_length() - 1)]
+    join = target.join
+    if (all(table[a] == join(table[a & a - 1], table[a & -a]) for a in range(1, len(table)))
+            and sorted(table) == sorted(carrier)
+            and (rows is None or _meeting_rows(images, target.contact) == rows)):
+        return None
+    return walk()
 
 
 def rc_law_violation(table, contact: ContactRelation,
                      rc: RegularClosedAlgebra) -> Violation | None:
-    """first_law_violation of table against rc.set_ops, decided on atom images.
-
-    None without a walk when table is the atom union of its atom images, a
-    bijection onto rc.carrier, and its atom images meet where contact's rows
-    say: a join-preserving bijection onto the regular closed sets keeps their
-    order, hence meet and complement, and contact is additive on both sides.
-    Any other table is walked, to name its least failing law.
-    """
-    images = [table[1 << i] for i in range(contact.algebra.atom_count)]
-    if (tuple(table) == atom_unions(images) and sorted(table) == sorted(rc.carrier)
-            and _meeting_rows(images) == contact.rows):
-        return None
-    return first_law_violation(range(len(table)), table, element_ops(contact), rc.set_ops,
-                               contact.algebra.names_of)
+    """isomorphism_violation of table, over contact's algebra, onto the
+    regular closed sets with their contact; the walk is over every element."""
+    return isomorphism_violation(
+        table, rc.carrier, rc.set_ops, contact.rows,
+        lambda: first_law_violation(range(len(table)), table, element_ops(contact), rc.set_ops,
+                                    contact.algebra.names_of))
 
 
 @dataclass(frozen=True)
@@ -397,14 +423,9 @@ class RegularClosedAlgebra:
 
 
 def regular_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
-    """The fixpoints of closure-of-interior, read off one closure table.
-
-    Closure preserves unions, so the closure of m joins the closures of its
-    points, and the interior of m is the complement of the closure of the
-    complement of m.
-    """
-    top = space.everything
-    cl = atom_unions([space.closure(1 << x) for x in range(space.point_count)])
+    """The fixpoints of closure-of-interior, read off the closure table: the
+    interior of m is the complement of the closure of the complement of m."""
+    top, cl = space.everything, space.closure_table
     return tuple(m for m in range(top + 1) if cl[top ^ cl[top ^ m]] == m)
 
 
@@ -472,14 +493,16 @@ class RegularOpenAlgebra:
     to_closed: dict[int, int]
     certificate: Report
 
+    # interior of closure of the union, interior of the complement, closures meeting
     def join_sets(self, u: int, v: int) -> int:
-        return self.space.interior(self.space.closure(u | v))
+        top, cl = self.space.everything, self.space.closure_table
+        return top ^ cl[top ^ cl[u | v]]
 
     def complement_set(self, u: int) -> int:
-        return self.space.interior(self.space.everything ^ u)
+        return self.space.everything ^ self.space.closure_table[u]
 
     def in_contact(self, u: int, v: int) -> bool:
-        return bool(self.space.closure(u) & self.space.closure(v))
+        return bool(self.space.closure_table[u] & self.space.closure_table[v])
 
     @property
     def set_ops(self) -> BooleanOps:
@@ -489,24 +512,37 @@ class RegularOpenAlgebra:
 def ro_algebra(space: FiniteSpace) -> RegularOpenAlgebra:
     """Regular open algebra and its canonical isomorphism onto regular closed.
 
-    The map sends a regular open set to its closure.  The certificate records
-    bijectivity and then the first law the map breaks (first_law_violation:
-    the Boolean operations, then agreement of the two contact relations); it
-    is empty for every finite space.
+    The carrier is read off the closure table (u is regular open exactly when
+    it is the interior of its closure), and the map sends a regular open set
+    to its closure.  The certificate (ro_law_violation) records bijectivity
+    and then the first law the map breaks; it is empty for every finite space.
     """
     if space.point_count > RC_POINT_CAP:
         raise CapExceeded(f"regular open enumeration capped at {RC_POINT_CAP} points")
-    cl, iv = space.closure, space.interior
-    carrier = tuple(m for m in range(space.everything + 1) if iv(cl(m)) == m)
+    top, cl = space.everything, space.closure_table
+    carrier = tuple(u for u in range(top + 1) if top ^ cl[top ^ cl[u]] == u)
     subject = "regular open to regular closed isomorphism"
-    ro = RegularOpenAlgebra(space, carrier, {u: cl(u) for u in carrier}, Report(subject))
-
-    rc = rc_algebra(space)
-    if sorted(ro.to_closed.values()) != sorted(rc.carrier):
-        law = Violation("bijection")
-    else:
-        law = first_law_violation(carrier, ro.to_closed, ro.set_ops, rc.set_ops, space.names_of)
+    ro = RegularOpenAlgebra(space, carrier, {u: cl[u] for u in carrier}, Report(subject))
+    law = ro_law_violation(ro, rc_algebra(space))
     return ro if law is None else replace(ro, certificate=Report(subject, (law,)))
+
+
+def ro_law_violation(ro: RegularOpenAlgebra, rc: RegularClosedAlgebra) -> Violation | None:
+    """Violation("bijection") unless ro.to_closed is a bijection onto rc.carrier,
+    else its first broken law (first_law_violation over the regular open sets).
+
+    rc.pointsets is a certified contact-keeping isomorphism, so to_closed is
+    one exactly when to_closed⁻¹ ∘ rc.pointsets is, with rc.contact against
+    closures meeting: isomorphism_violation decides that table.
+    """
+    if sorted(ro.to_closed.values()) != sorted(rc.carrier):
+        return Violation("bijection")
+    opened = {f: u for u, f in ro.to_closed.items()}
+    table = [opened[f] for f in rc.pointsets]
+    return isomorphism_violation(
+        table, ro.carrier, ro.set_ops, rc.contact.rows,
+        lambda: first_law_violation(ro.carrier, ro.to_closed, ro.set_ops, rc.set_ops,
+                                    ro.space.names_of))
 
 
 @dataclass(frozen=True)
@@ -534,7 +570,7 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
     Refuses when the subset is not dense, and (as rc_algebra does) spaces
     beyond RC_POINT_CAP points.  The certificate checks that the two maps are
     mutually inverse bijections, then that restrict preserves join, meet and
-    complement (first_law_violation).
+    complement (trace_law_violation).
     """
     space.check_set(subset)
     if space.closure(subset) != space.everything:
@@ -544,7 +580,7 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
     big_rc, small_rc = big.carrier, small.carrier
 
     restrict = {f: space.restrict_set(subset, f) for f in big_rc}
-    extend = {g: space.closure(space.embed_set(subset, g)) for g in small_rc}
+    extend = {g: space.closure_table[space.embed_set(subset, g)] for g in small_rc}
 
     violations = []
     if sorted(restrict.values()) != sorted(small_rc):
@@ -561,10 +597,23 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
                 violations.append(Violation("restrict-extend", (sub.names_of(g),)))
                 break
     if not violations:
-        # a trace need not keep two closed sets meeting, so contact is not claimed
-        law = first_law_violation(big_rc, restrict, big.set_ops._replace(contact=None),
-                                  small.set_ops, space.names_of)
+        law = trace_law_violation(restrict, big, small)
         if law is not None:
             violations.append(law)
     report = Report("dense subspace isomorphism", tuple(violations))
     return DenseSubspaceIso(space, sub, subset, restrict, extend, report)
+
+
+def trace_law_violation(restrict, big: RegularClosedAlgebra,
+                        small: RegularClosedAlgebra) -> Violation | None:
+    """The first law restrict, a table over big.carrier, breaks onto small.carrier.
+
+    big.pointsets is a certified isomorphism, so restrict is one exactly when
+    restrict ∘ big.pointsets is: isomorphism_violation decides that table.  A
+    trace need not keep two closed sets meeting, so contact is not claimed.
+    """
+    table = [restrict[f] for f in big.pointsets]
+    return isomorphism_violation(
+        table, small.carrier, small.set_ops, None,
+        lambda: first_law_violation(big.carrier, restrict, big.set_ops._replace(contact=None),
+                                    small.set_ops, big.space.names_of))

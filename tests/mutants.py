@@ -52,6 +52,9 @@ _ORDER = (f"{_ORACLES}::TestEndpointOrder::test_before_equals_fraction_order_on_
 _SUPPORTS = ("tests/test_clusters.py::TestSupportsCluster"
              "::test_equals_the_checker_on_every_relation_up_to_four_atoms",)
 _RC_LAWS = f"{_ORACLES}::TestRegularClosedLawsOnAtoms"
+_ISO_LAWS = f"{_ORACLES}::TestRegularOpenAndTraceLawsOnAtoms"
+_RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
+             "::test_no_element_walk_on_every_space_up_to_four_points")
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -188,19 +191,43 @@ MUTANTS = (
            ("tests/test_oracles.py::TestSpacePredicates"
             "::test_regular_closed_sets_equal_the_closure_interior_scan",)),
     Mutant("rc-law-violation-without-row-test", f"{PACKAGE}/spaces.py",
-           "sorted(table) == sorted(rc.carrier)\n"
-           "            and _meeting_rows(images) == contact.rows):",
-           "sorted(table) == sorted(rc.carrier)):",
+           "\n            and (rows is None or _meeting_rows(images, target.contact) == rows)",
+           "",
            (f"{_RC_LAWS}::test_permuted_region_tables_against_every_atom_relation",)),
     Mutant("rc-law-violation-without-bijection-test", f"{PACKAGE}/spaces.py",
-           "atom_unions(images) and sorted(table) == sorted(rc.carrier)\n",
-           "atom_unions(images)\n",
+           "\n            and sorted(table) == sorted(carrier)",
+           "",
            (f"{_RC_LAWS}::test_tampered_atom_lists_of_every_space_up_to_three_points",)),
     Mutant("rc-law-violation-reads-atom-images-at-i", f"{PACKAGE}/spaces.py",
            "images = [table[1 << i] for i",
            "images = [table[i] for i",
            ("tests/test_spaces.py::TestRegularClosedCertificate"
             "::test_no_element_walk_on_every_space_up_to_four_points",)),
+    Mutant("join-recurrence-skips-the-top", f"{PACKAGE}/spaces.py",
+           "for a in range(1, len(table)))\n",
+           "for a in range(1, len(table) - 1))\n",
+           (f"{_ISO_LAWS}::test_tampered_closure_maps",)),
+    Mutant("ro-certificate-joins-by-union", f"{PACKAGE}/spaces.py",
+           "table, ro.carrier, ro.set_ops, rc.contact.rows,",
+           "table, ro.carrier, ro.set_ops._replace(join=operator.or_), rc.contact.rows,",
+           (_RO_WALKS,)),
+    Mutant("ro-certificate-without-contact", f"{PACKAGE}/spaces.py",
+           "table, ro.carrier, ro.set_ops, rc.contact.rows,",
+           "table, ro.carrier, ro.set_ops, None,",
+           (f"{_ISO_LAWS}::test_tampered_closure_maps",)),
+    Mutant("ro-contact-without-closures", f"{PACKAGE}/spaces.py",
+           "return bool(self.space.closure_table[u] & self.space.closure_table[v])",
+           "return bool(u & v)",
+           (_RO_WALKS,)),
+    Mutant("ro-carrier-skips-the-interior", f"{PACKAGE}/spaces.py",
+           "if top ^ cl[top ^ cl[u]] == u)",
+           "if cl[u] == u)",
+           (_RO_WALKS,)),
+    Mutant("trace-certificate-in-carrier-order", f"{PACKAGE}/spaces.py",
+           "table = [restrict[f] for f in big.pointsets]",
+           "table = [restrict[f] for f in big.carrier]",
+           ("tests/test_spaces.py::TestSubspacesAndDensity"
+            "::test_no_element_walk_on_every_dense_subset_up_to_four_points",)),
 )
 
 

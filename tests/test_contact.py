@@ -4,16 +4,14 @@ from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import (
     ContactRelation,
     ElementContact,
-    apply_atom_permutation,
     atom_restriction,
-    ca_isomorphic,
     check_axioms,
     extremal_contacts,
     overlap_contact,
     universal_contact,
 )
 from corpus import atom_relations, small_algebra
-from contact_duality.errors import CapExceeded, StructureError
+from contact_duality.errors import StructureError
 from test_oracles import oracle_check_axioms
 
 
@@ -213,45 +211,6 @@ class TestAtomDetermination:
             report = {v.axiom for v in oracle_check_axioms(rel, "NCA").violations}
             if "C4" not in report and "C6" not in report:
                 assert "C2" not in report
-
-
-class TestIsomorphism:
-    def test_identity_on_self(self):
-        r = relation_with_edges("pqr", [("p", "q")])
-        assert ca_isomorphic(r, r) == (0, 1, 2)
-
-    def test_extremals_not_isomorphic(self):
-        rs, rl = extremal_contacts(small_algebra(2))
-        assert ca_isomorphic(rs, rl) is None
-
-    def test_relabelled_edge_found(self):
-        r1 = relation_with_edges("pqr", [("p", "q")])
-        r2 = relation_with_edges("pqr", [("q", "r")])
-        perm = ca_isomorphic(r1, r2)
-        assert perm is not None
-        assert apply_atom_permutation(r1, perm).rows == r2.rows
-        # the edge pair must land on the edge pair
-        assert {perm[0], perm[1]} == {1, 2}
-
-    def test_random_relabellings_up_to_four_atoms(self):
-        import random
-        rng = random.Random(7)
-        for n in (2, 3, 4):
-            base = [r for r in (atom_relations(n) if n < 4 else [])]
-            if not base:
-                base = [relation_with_edges("pqrs", [("p", "q"), ("q", "r")])]
-            for r in base:
-                perm = list(range(n))
-                rng.shuffle(perm)
-                shuffled = apply_atom_permutation(r, tuple(perm))
-                found = ca_isomorphic(r, shuffled)
-                assert found is not None
-                assert apply_atom_permutation(r, found).rows == shuffled.rows
-
-    def test_cap(self):
-        big = overlap_contact(FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(11))))
-        with pytest.raises(CapExceeded):
-            ca_isomorphic(big, big)
 
 
 class TestConstruction:

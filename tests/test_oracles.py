@@ -16,8 +16,9 @@ The region calculator's sweeps over the normal form are checked against
 the pairwise definitions they replaced, and its endpoint order against
 Fraction's own.  The polynomial connectedness and closed-map tests and the
 regular closed sets from one closure table are checked against the scans
-over all point sets, and the atom test of the regular closed certificates
-against the element walk of first_law_violation.
+over all point sets, and the atom test of the isomorphism certificates (the
+regular closed table, the regular open closure map and the dense-subspace
+trace) against the element walk of first_law_violation.
 """
 
 import dataclasses
@@ -67,14 +68,19 @@ from contact_duality.localcontact import (
 from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, _before, interpolate
 from contact_duality.report import Report, Violation
 from contact_duality.spaces import (
+    FiniteSpace,
     SpaceMap,
+    dense_subspace_isomorphism,
     element_ops,
     first_law_violation,
     map_predicates,
     rc_algebra,
     rc_law_violation,
     regular_closed_sets,
+    ro_algebra,
+    ro_law_violation,
     space_predicates,
+    trace_law_violation,
 )
 from test_duality import morphism_candidates
 
@@ -1163,3 +1169,69 @@ class TestRegularClosedLawsOnAtoms:
         passed, laws = self.compare(cases)
         assert passed > 0
         assert laws == {None, "meet", "contact", "complement"}
+
+
+# open points a, b, c with x in the closures of a and b, y in those of b and
+# c: three regular closed atoms in a path, so an atom swap can break contact
+PATH_SPACE = FiniteSpace(tuple("abcxy"), (0b00001, 0b00010, 0b00100, 0b01011, 0b10110))
+
+
+def tampered_tables(table, rc, rng):
+    """Bijective retablings of table, a dict onto rc.carrier: every permutation
+    of rc's atoms applied to the values, every transposition of two values, and
+    five seeded shuffles."""
+    keys = list(table)
+    position = {f: a for a, f in enumerate(rc.pointsets)}
+    n = rc.algebra.atom_count
+    for perm in itertools.permutations(range(n)):
+        moved = [sum(1 << perm[i] for i in range(n) if a >> i & 1) for a in range(1 << n)]
+        yield {u: rc.pointsets[moved[position[f]]] for u, f in table.items()}
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        swapped = dict(table)
+        swapped[keys[i]], swapped[keys[j]] = table[keys[j]], table[keys[i]]
+        yield swapped
+    for _ in range(5):
+        values = list(table.values())
+        rng.shuffle(values)
+        yield dict(zip(keys, values))
+
+
+class TestRegularOpenAndTraceLawsOnAtoms:
+    """ro_law_violation and trace_law_violation equal the element walk on
+    tampered closure and trace tables of every space up to three points and
+    of PATH_SPACE, with both outcomes and the failing laws named."""
+
+    def test_tampered_closure_maps(self):
+        rng = random.Random(CORPUS_SEED)
+        passed, laws = 0, set()
+        for space in [s for n in (1, 2, 3) for s in all_preorder_spaces(n)] + [PATH_SPACE]:
+            ro, rc = ro_algebra(space), rc_algebra(space)
+            for to_closed in tampered_tables(ro.to_closed, rc, rng):
+                tampered = dataclasses.replace(ro, to_closed=to_closed)
+                law = first_law_violation(ro.carrier, to_closed, ro.set_ops, rc.set_ops,
+                                          space.names_of)
+                assert ro_law_violation(tampered, rc) == law, (space.min_nbhd, to_closed)
+                passed += law is None
+                laws.add(law and law.axiom)
+        assert passed > 0
+        assert laws == {None, "join", "contact", "complement"}
+
+    def test_tampered_traces(self):
+        rng = random.Random(CORPUS_SEED)
+        passed, laws = 0, set()
+        for space in [s for n in (1, 2, 3) for s in all_preorder_spaces(n)] + [PATH_SPACE]:
+            for subset in range(1, space.everything + 1):
+                if space.closure(subset) != space.everything:
+                    continue
+                iso = dense_subspace_isomorphism(space, subset)
+                big, small = rc_algebra(space), rc_algebra(iso.subspace)
+                no_contact = big.set_ops._replace(contact=None)
+                for restrict in tampered_tables(iso.restrict, small, rng):
+                    law = first_law_violation(big.carrier, restrict, no_contact, small.set_ops,
+                                              space.names_of)
+                    assert trace_law_violation(restrict, big, small) == law, (space.min_nbhd,
+                                                                              restrict)
+                    passed += law is None
+                    laws.add(law and law.axiom)
+        assert passed > 0
+        assert laws == {None, "join", "complement"}

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -240,6 +241,20 @@ class TestRegularOpen:
             assert ro.certificate.ok
             assert len(ro.carrier) == len(regular_closed_sets(space))
 
+    def test_no_element_walk_on_every_space_up_to_four_points(self, law_walks):
+        spaces = [space for n in range(1, 5) for space in all_preorder_spaces(n)]
+        assert len(spaces) == 389
+        for space in spaces:
+            assert ro_algebra(space).certificate.ok
+        assert law_walks == []
+
+    def test_sixteen_point_discrete_space_certifies_quickly(self):
+        space = discrete_space(tuple(f"x{i}" for i in range(16)))
+        start = time.perf_counter()
+        ro = ro_algebra(space)
+        assert time.perf_counter() - start < 5.0
+        assert ro.certificate.ok and len(ro.carrier) == 1 << 16
+
 
 class TestSpacePredicates:
     def test_discrete_two_points(self):
@@ -339,6 +354,23 @@ class TestSubspacesAndDensity:
                     assert iso.restrict[iso.extend[g]] == g
                 pairs += 1
         assert pairs >= 20
+
+    def test_no_element_walk_on_every_dense_subset_up_to_four_points(self, law_walks):
+        pairs = 0
+        for space in [space for n in range(1, 5) for space in all_preorder_spaces(n)]:
+            for subset in range(1, space.everything + 1):
+                if space.closure(subset) == space.everything:
+                    assert dense_subspace_isomorphism(space, subset).certificate.ok
+                    pairs += 1
+        assert pairs == 2271
+        assert law_walks == []
+
+    def test_sixteen_point_discrete_space_certifies_quickly(self):
+        space = discrete_space(tuple(f"x{i}" for i in range(16)))
+        start = time.perf_counter()
+        iso = dense_subspace_isomorphism(space, space.everything)
+        assert time.perf_counter() - start < 5.0
+        assert iso.certificate.ok and len(iso.restrict) == 1 << 16
 
 
 class TestSpaceConnectednessAgainstContact:
