@@ -36,7 +36,7 @@ from .spaces import map_predicates, rc_algebra, space_predicates
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_STRUCTURE = 2
-REGION_SAMPLE_CAP = 100_000  # region laws --samples; about 6 s at the cap on a 2-vCPU VM
+REGION_SAMPLE_CAP = 100_000  # region laws --samples; 4.7-7.5 s at the cap on a 2-vCPU VM
 
 
 def _read(path: str):

@@ -50,9 +50,13 @@ def _before(a: Endpoint, b: Endpoint) -> bool:
     """a < b for stored endpoints: plain Fractions and the module's infinities.
 
     The infinities are told apart by identity; two Fractions are compared by
-    cross-multiplying, which is exact because denominators are positive.  This
-    costs a small part of Fraction.__lt__, which goes through the numeric
-    tower, and it is the one endpoint order of every region operation.
+    cross-multiplying their reduced integers, exact as denominators are
+    positive.  The integers are read from Fraction's _numerator and
+    _denominator slots (what its properties return in CPython 3.10 to 3.13),
+    which is sound as RationalRegion stores every finite endpoint as a plain
+    Fraction.  This costs a small part of Fraction.__lt__, which goes through
+    the numeric tower, and it is the one endpoint order of every region
+    operation.
     """
     if a is NEG_INF:
         return b is not NEG_INF
@@ -60,11 +64,7 @@ def _before(a: Endpoint, b: Endpoint) -> bool:
         return a is not POS_INF
     if a is POS_INF or b is NEG_INF:
         return False
-    return a.numerator * b.denominator < b.numerator * a.denominator
-
-
-def _is_infinite(value: Endpoint) -> bool:
-    return value is NEG_INF or value is POS_INF
+    return a._numerator * b._denominator < b._numerator * a._denominator
 
 
 def parse_endpoint(text: str) -> Endpoint:
@@ -105,7 +105,7 @@ def endpoint_text(value: Endpoint) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalRegion:
     intervals: tuple[tuple[Endpoint, Endpoint], ...]
 
@@ -152,7 +152,8 @@ class RationalRegion:
         """
         cleaned = []
         for lo, hi in pairs:
-            lo, hi = _valid_endpoint(lo), _valid_endpoint(hi)
+            lo = lo if type(lo) is Fraction else _valid_endpoint(lo)
+            hi = hi if type(hi) is Fraction else _valid_endpoint(hi)
             if not _before(lo, hi):
                 raise StructureError(f"degenerate or reversed interval [{lo}, {hi}]")
             cleaned.append((lo, hi))
@@ -203,8 +204,9 @@ class RationalRegion:
             return other if not a else self
         out: list[tuple[Endpoint, Endpoint]] = []
         i = j = 0
-        while i < len(a) or j < len(b):
-            if j == len(b) or (i < len(a) and not _before(b[j][0], a[i][0])):
+        na, nb = len(a), len(b)
+        while i < na or j < nb:
+            if j == nb or (i < na and not _before(b[j][0], a[i][0])):
                 lo, hi = a[i]
                 i += 1
             else:
@@ -240,16 +242,15 @@ class RationalRegion:
         In normal form every inner gap is nondegenerate; only the two outer
         gaps vanish, when the region reaches an infinity.
         """
-        if not self.intervals:
-            return RationalRegion.whole_line()
-        ends = [NEG_INF]
-        for interval in self.intervals:
-            ends.extend(interval)
-        ends.append(POS_INF)
-        gaps = tuple(zip(ends[::2], ends[1::2]))
-        start = 1 if _is_infinite(ends[1]) else 0
-        stop = len(gaps) - 1 if _is_infinite(ends[-2]) else len(gaps)
-        return RationalRegion(gaps[start:stop])
+        gaps = []
+        previous = NEG_INF
+        for lo, hi in self.intervals:
+            if lo is not NEG_INF:
+                gaps.append((previous, lo))
+            previous = hi
+        if previous is not POS_INF:
+            gaps.append((previous, POS_INF))
+        return RationalRegion(tuple(gaps))
 
     def le(self, other: "RationalRegion") -> bool:
         """Containment as point sets; the lattice order of the region algebra."""

@@ -450,8 +450,16 @@ def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
     if space.point_count > RC_POINT_CAP:
         raise CapExceeded(f"regular closed enumeration capped at {RC_POINT_CAP} points")
     carrier = regular_closed_sets(space)
-    nonzero = [f for f in carrier if f]
-    atoms = tuple(f for f in nonzero if not any(g and g != f and g | f == f for g in nonzero))
+    # The carrier ascends, so every subset of f comes before f: f is minimal
+    # when no atom found before it lies below it.
+    minimal = []
+    for f in carrier[1:]:  # carrier[0] is the empty set
+        for atom in minimal:
+            if atom | f == f:
+                break
+        else:
+            minimal.append(f)
+    atoms = tuple(minimal)
 
     if len(carrier) != 1 << len(atoms):
         raise StructureError("regular closed carrier is not a powerset of its atoms")

@@ -122,8 +122,8 @@ MUTANTS = (
            "if not _before(ahi, blo):",
            _GRID),
     Mutant("complement-keeps-left-ray-gap", f"{PACKAGE}/regions.py",
-           "start = 1 if _is_infinite(ends[1]) else 0",
-           "start = 0",
+           "if lo is not NEG_INF:\n                gaps.append((previous, lo))",
+           "if True:\n                gaps.append((previous, lo))",
            _GRID),
     Mutant("le-skips-an-equal-end", f"{PACKAGE}/regions.py",
            "while j < len(b) and _before(b[j][1], ahi):",
@@ -146,9 +146,13 @@ MUTANTS = (
            "lambda p, q: _before(q[1], p[1]) - _before(p[1], q[1])",
            _MERGE),
     Mutant("before-not-strict", f"{PACKAGE}/regions.py",
-           "a.numerator * b.denominator < b.numerator * a.denominator",
-           "a.numerator * b.denominator <= b.numerator * a.denominator",
+           "a._numerator * b._denominator < b._numerator * a._denominator",
+           "a._numerator * b._denominator <= b._numerator * a._denominator",
            _ORDER),
+    Mutant("of-keeps-an-int-endpoint", f"{PACKAGE}/regions.py",
+           "lo = lo if type(lo) is Fraction else _valid_endpoint(lo)",
+           "lo = lo",
+           ("tests/test_regions.py::TestNormalForm::test_of_stores_int_endpoints_as_fractions",)),
     Mutant("before-puts-a-fraction-before-neg-inf", f"{PACKAGE}/regions.py",
            "if a is POS_INF or b is NEG_INF:\n        return False",
            "if a is POS_INF or b is NEG_INF:\n        return a is not POS_INF",
@@ -190,6 +194,10 @@ MUTANTS = (
            "if cl[m] == m)",
            ("tests/test_oracles.py::TestSpacePredicates"
             "::test_regular_closed_sets_equal_the_closure_interior_scan",)),
+    Mutant("rc-atoms-keep-a-set-above-an-atom", f"{PACKAGE}/spaces.py",
+           "if atom | f == f:\n                break",
+           "if atom == f:\n                break",
+           (f"{_ORACLES}::TestSpacePredicates::test_rc_atoms_equal_the_all_pairs_scan",)),
     Mutant("rc-law-violation-without-row-test", f"{PACKAGE}/spaces.py",
            "\n            and (rows is None or _meeting_rows(images, target.contact) == rows)",
            "",

@@ -13,12 +13,15 @@ Every report, table, assignment and refusal must agree exactly, least
 witnesses and messages included.
 
 The region calculator's sweeps over the normal form are checked against
-the pairwise definitions they replaced, and its endpoint order against
-Fraction's own.  The polynomial connectedness and closed-map tests and the
-regular closed sets from one closure table are checked against the scans
-over all point sets, and the atom test of the isomorphism certificates (the
-regular closed table, the regular open closure map and the dense-subspace
-trace) against the element walk of first_law_violation.
+the pairwise definitions they replaced, its endpoint order against
+Fraction's own, its stored endpoints for being plain Fractions or its two
+infinities, and the region laws sampler against the same draws made with
+Fraction arithmetic.  The polynomial connectedness and closed-map tests and
+the regular closed sets from one closure table are checked against the
+scans over all point sets, the regular closed atoms against the all-pairs
+scan, and the atom test of the isomorphism certificates (the regular
+closed table, the regular open closure map and the dense-subspace trace)
+against the element walk of first_law_violation.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 import pytest
 
+from contact_duality import cli, jsonio
 from contact_duality.boolalg import FiniteBooleanAlgebra, atom_unions
 from contact_duality.clusters import check_cluster, grill_clusters
 from contact_duality import contact
@@ -65,7 +69,15 @@ from contact_duality.localcontact import (
     alexandroff_extension,
     check_lca_axioms,
 )
-from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, _before, interpolate
+from contact_duality.regions import (
+    NEG_INF,
+    POS_INF,
+    RationalRegion,
+    _before,
+    affine_preimage,
+    expand,
+    interpolate,
+)
 from contact_duality.report import Report, Violation
 from contact_duality.spaces import (
     FiniteSpace,
@@ -577,6 +589,17 @@ REGION_SWEEPS = (
 )
 
 
+def oracle_random_region(rng):
+    """The region laws sample: the same randrange calls as cli._random_region,
+    with Fraction arithmetic and the full sort and merge."""
+    pairs = []
+    for _ in range(rng.randrange(0, 4)):
+        lo = Fraction(rng.randrange(-24, 24), rng.randrange(1, 8))
+        width = Fraction(rng.randrange(1, 24), rng.randrange(1, 8))
+        pairs.append((lo, lo + width))
+    return oracle_merged(pairs)
+
+
 # Connectedness and closedness of finite spaces and maps by scans over all
 # 2^n point sets.
 
@@ -592,6 +615,12 @@ def oracle_closed_sets(space):
 def oracle_regular_closed_sets(space):
     cl, iv = space.closure, space.interior
     return tuple(m for m in range(space.everything + 1) if cl(iv(m)) == m)
+
+
+def oracle_rc_atoms(carrier):
+    """The minimal nonzero sets of a carrier, each tested against all the others."""
+    nonzero = [f for f in carrier if f]
+    return tuple(f for f in nonzero if not any(g and g != f and g | f == f for g in nonzero))
 
 
 def oracle_closed(f):
@@ -1060,6 +1089,72 @@ class TestNoFractionOrder:
         assert fraction_orderings == []
 
 
+class _Rat(Fraction):
+    """A Fraction subclass, which a region must store as a plain Fraction."""
+
+
+def _respelled(end):
+    """A grid endpoint as an int or a _Rat, for the conversion to undo."""
+    if end is NEG_INF or end is POS_INF:
+        return end
+    return int(end) if end.denominator == 1 else _Rat(end)
+
+
+def _json_text(region):
+    """A region file with each finite endpoint as a JSON number."""
+    def number(end):
+        return f'"{end}"' if end in (NEG_INF, POS_INF) else str(float(end))
+    return '{"intervals": [%s]}' % ", ".join(
+        f"[{number(lo)}, {number(hi)}]" for lo, hi in region.intervals)
+
+
+class TestStoredEndpoints:
+    """Every endpoint a region holds is a plain Fraction or the module's own
+    NEG_INF or POS_INF object: the invariant _before's reads of Fraction's
+    integer slots rely on."""
+
+    def test_every_constructor_and_operation_stores_plain_endpoints(self):
+        regions = grid_regions()
+        built = []
+        producers = set()
+        for f in regions:
+            for g in regions:
+                for name, fast, _ in REGION_SWEEPS:
+                    result = outcome(fast, f, g)
+                    if isinstance(result[1], RationalRegion):
+                        built.append(result[1])
+                        producers.add(name)
+            built.append(RationalRegion.of(*((_respelled(lo), _respelled(hi))
+                                             for lo, hi in f.intervals)))
+            built.append(RationalRegion.from_text(f.to_text()))
+            kind, read = jsonio.loads(_json_text(f))  # through jsonio.region_from_json
+            assert kind == "region" and read == f
+            built.append(read)
+            built += [expand(f, margin) for margin in (Fraction(1, 2), 1, _Rat(3))]
+            built += [affine_preimage(alpha, beta, f)
+                      for alpha, beta in ((2, 1), (Fraction(-1, 2), 0), (_Rat(-3), _Rat(1, 3)))]
+        assert producers == {"join", "meet", "complement", "interpolate"}
+        ends = [end for region in built for pair in region.intervals for end in pair]
+        kinds = {"fraction" if type(end) is Fraction
+                 else "infinity" if end is NEG_INF or end is POS_INF
+                 else type(end).__name__ for end in ends}
+        assert kinds == {"fraction", "infinity"}
+
+
+class TestSampledRegions:
+    def test_region_laws_samples_equal_the_oracle_draws(self):
+        # region laws always passes, so its transcript cannot see its samples
+        counts = set()
+        for seed in range(50):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(120):
+                region = cli._random_region(fast)
+                assert region == oracle_random_region(slow), seed
+                counts.add(len(region.intervals))
+            assert fast.getstate() == slow.getstate(), seed
+        assert counts == {0, 1, 2, 3}
+
+
 # space and map predicates ----------------------------------------------------------
 
 
@@ -1084,6 +1179,15 @@ class TestSpacePredicates:
             assert carrier == oracle_regular_closed_sets(space), space.min_nbhd
             sizes.add(len(carrier))
         assert sizes == {2, 4, 8, 16}
+
+    def test_rc_atoms_equal_the_all_pairs_scan(self):
+        spaces = [space for n in (1, 2, 3, 4) for space in self.SPACES[n]]
+        counts = set()
+        for space in spaces:
+            atoms = rc_algebra(space).atoms
+            assert atoms == oracle_rc_atoms(regular_closed_sets(space)), space.min_nbhd
+            counts.add(len(atoms))
+        assert counts == {1, 2, 3, 4}
 
     def test_closedness_equals_the_closed_set_scan(self):
         # every map between spaces of at most 3 points, and every map between

@@ -71,6 +71,12 @@ class TestNormalForm:
         kept = ((Fr(0), Fr(1)), (Fr(2), POS_INF))
         assert RationalRegion(kept).intervals is kept
 
+    def test_of_stores_int_endpoints_as_fractions(self):
+        # of converts only what is not a plain Fraction, before its own order
+        built = RationalRegion.of((0, 1), (Fr(3), 4))
+        assert built.intervals == ((Fr(0), Fr(1)), (Fr(3), Fr(4)))
+        assert all(type(end) is Fr for pair in built.intervals for end in pair)
+
     def test_fraction_subclass_endpoints_are_stored_as_plain_fractions(self):
         class Rat(Fr):
             def __lt__(self, other):  # a wrong order the regions must not use
