@@ -9,7 +9,8 @@ accidental mixing of algebras detectable.  The atom count, size and top are
 computed once per algebra, so that check is a few comparisons.
 
 atom_join and atom_unions join a value per atom over the atoms of a mask;
-contact reach, regular closed point sets and dual-space regions all use them.
+contact reach, regular closed point sets, dense-subspace traces and
+dual-space regions all use them.
 
 The default atom cap of 24 keeps exhaustive element enumeration feasible in
 tests; the CONTACT_DUALITY_MAX_ATOMS environment variable raises it at the

@@ -45,6 +45,8 @@ def _read(path: str):
             text = handle.read()
     except OSError as exc:
         raise StructureError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     return jsonio.loads(text, where=path)
 
 
@@ -220,51 +222,38 @@ def cmd_roundtrip(args) -> int:
     return _report_exit([report])
 
 
-def _region(text: str) -> RationalRegion:
-    return RationalRegion.from_text(text)
-
-
 def cmd_region(args) -> int:
-    op = args.operation
+    op, texts = args.operation, args.operands
     if op in ("union", "meet", "le", "contact", "waybelow", "interpolate"):
-        if len(args.operands) != 2:
+        if len(texts) != 2:
             raise StructureError(f"region {op} takes two regions")
-        left, right = _region(args.operands[0]), _region(args.operands[1])
-        if op == "union":
-            out = left | right
-        elif op == "meet":
-            out = left & right
-        elif op == "interpolate":
-            out = interpolate(left, right)
-        elif op == "le":
-            _emit(args, {"result": left.le(right)}, str(left.le(right)).lower())
+        left, right = RationalRegion.from_text(texts[0]), RationalRegion.from_text(texts[1])
+        if op in ("le", "contact", "waybelow"):
+            value = (left.le(right) if op == "le" else left.touches(right) if op == "contact"
+                     else left.well_inside(right))
+            _emit(args, {"result": value}, str(value).lower())
             return EXIT_OK
-        elif op == "contact":
-            _emit(args, {"result": left.touches(right)}, str(left.touches(right)).lower())
-            return EXIT_OK
-        else:
-            _emit(args, {"result": left.well_inside(right)},
-                  str(left.well_inside(right)).lower())
-            return EXIT_OK
+        out = (left | right if op == "union" else left & right if op == "meet"
+               else interpolate(left, right))
         _emit(args, jsonio.region_to_json(out), out.to_text())
         return EXIT_OK
     if op == "complement":
-        if len(args.operands) != 1:
+        if len(texts) != 1:
             raise StructureError("region complement takes one region")
-        out = ~_region(args.operands[0])
+        out = ~RationalRegion.from_text(texts[0])
         _emit(args, jsonio.region_to_json(out), out.to_text())
         return EXIT_OK
     if op == "bounded":
-        if len(args.operands) != 1:
+        if len(texts) != 1:
             raise StructureError("region bounded takes one region")
-        value = _region(args.operands[0]).is_bounded
+        value = RationalRegion.from_text(texts[0]).is_bounded
         _emit(args, {"result": value}, str(value).lower())
         return EXIT_OK
     if op == "affine":
-        if len(args.operands) != 3:
+        if len(texts) != 3:
             raise StructureError("region affine takes a slope, an offset and a region")
-        alpha, beta = parse_rational(args.operands[0]), parse_rational(args.operands[1])
-        out = affine_preimage(alpha, beta, _region(args.operands[2]))
+        alpha, beta = parse_rational(texts[0]), parse_rational(texts[1])
+        out = affine_preimage(alpha, beta, RationalRegion.from_text(texts[2]))
         _emit(args, jsonio.region_to_json(out), out.to_text())
         return EXIT_OK
     if op == "laws":
@@ -312,62 +301,46 @@ def _region_laws(args) -> int:
     return EXIT_OK if not failures else EXIT_VIOLATIONS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's own parser, by verb name."""
     parser = argparse.ArgumentParser(
         prog="contact-duality",
         description="Validate, dualize and explore finite contact structures. "
                     f"The {MAX_ATOMS_ENV} environment variable overrides the atom cap.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, run):
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.add_argument("--seed", type=int, default=1729)
         p.add_argument("--max-atoms", type=int, default=None,
                        help="override the atom cap for this invocation")
+        p.set_defaults(run=run)
+
+    def file_verb(name, help_text, run):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        common(p, run)
 
     p = sub.add_parser("validate", help="axiom reports for any documented input kind")
     p.add_argument("file")
     p.add_argument("--kind", choices=("PAL", "DVAL"), default=None,
                    help="morphism axiom family, for morphism inputs")
-    common(p)
-    p.set_defaults(run=cmd_validate)
-
-    p = sub.add_parser("clusters", help="cluster listing with bounded flags")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=cmd_clusters)
-
-    p = sub.add_parser("dualize", help="dual space and region table of a structure")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=cmd_dualize)
-
-    p = sub.add_parser("lift", help="regular closed structure of a space")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=cmd_lift)
-
-    p = sub.add_parser("dual-map", help="dualize a map to a morphism or back")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=cmd_dual_map)
+    common(p, cmd_validate)
+    file_verb("clusters", "cluster listing with bounded flags", cmd_clusters)
+    file_verb("dualize", "dual space and region table of a structure", cmd_dualize)
+    file_verb("lift", "regular closed structure of a space", cmd_lift)
+    file_verb("dual-map", "dualize a map to a morphism or back", cmd_dual_map)
 
     p = sub.add_parser("check-morphism", help="morphism axiom report")
     p.add_argument("file")
     p.add_argument("--kind", choices=("PAL", "DVAL"), default=None)
-    common(p)
-    p.set_defaults(run=cmd_check_morphism)
+    common(p, cmd_check_morphism)
 
     p = sub.add_parser("compose", help="diamond composition of two morphism files")
     p.add_argument("outer", help="applied second")
     p.add_argument("inner", help="applied first")
-    common(p)
-    p.set_defaults(run=cmd_compose)
-
-    p = sub.add_parser("roundtrip", help="object and naturality round trips")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(run=cmd_roundtrip)
+    common(p, cmd_compose)
+    file_verb("roundtrip", "object and naturality round trips", cmd_roundtrip)
 
     p = sub.add_parser("region", help="rational line region calculator")
     p.add_argument("operation",
@@ -376,23 +349,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operands", nargs="*")
     p.add_argument("--samples", type=int, default=1000,
                    help=f"sample count for laws, at most {REGION_SAMPLE_CAP}")
-    common(p)
-    p.set_defaults(run=cmd_region)
+    common(p, cmd_region)
+    return parser, sub.choices
 
-    return parser
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser() once per process; parse_args leaves a parser unchanged."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """_build_parsers() once per process; parsing leaves a parser unchanged."""
+    return _build_parsers()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives, in one argparse
+    pass when argv starts with a verb: that verb's parser reads the rest, and
+    the top-level parser reports what it leaves over."""
+    parser, verbs = _parsers()
+    verb_parser = verbs.get(argv[0]) if argv else None
+    if verb_parser is None:  # help, a missing or unknown verb, an option first
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args.max_atoms is None:
+        return _run(args)
     previous_cap = os.environ.get(MAX_ATOMS_ENV)
-    if getattr(args, "max_atoms", None) is not None:
-        os.environ[MAX_ATOMS_ENV] = str(args.max_atoms)
+    os.environ[MAX_ATOMS_ENV] = str(args.max_atoms)
+    try:
+        return _run(args)
+    finally:
+        if previous_cap is None:
+            os.environ.pop(MAX_ATOMS_ENV, None)
+        else:
+            os.environ[MAX_ATOMS_ENV] = previous_cap
+
+
+def _run(args) -> int:
     try:
         return args.run(args)
     except Refusal as exc:
@@ -403,11 +404,6 @@ def main(argv=None) -> int:
     except ContactDualityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STRUCTURE
-    finally:
-        if previous_cap is None:
-            os.environ.pop(MAX_ATOMS_ENV, None)
-        else:
-            os.environ[MAX_ATOMS_ENV] = previous_cap
 
 
 if __name__ == "__main__":

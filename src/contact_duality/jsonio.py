@@ -278,9 +278,14 @@ class _JsonNumber(float):
         return number
 
 
+_DECODER = json.JSONDecoder(parse_float=_JsonNumber)
+
+
 def loads(text: str, where: str = "<input>"):
     try:
-        obj = json.loads(text, parse_float=_JsonNumber)
+        if text.startswith("\ufeff"):  # the one check json.loads makes before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -7,9 +7,9 @@ properties need no maintenance.
 Validity (the three boundedness axioms) is checked by check_lca_axioms, never
 assumed by construction: several operations here are defined for arbitrary
 (contact, ideal) pairs and the tests deliberately probe invalid ones.  A
-structure is a frozen value, so its BC report, its dual space and its
-double-dual certificate are computed once per structure object and kept on
-it; the gates read the kept report.
+structure is a frozen value, so its BC report, its Alexandroff extension, its
+dual space and its double-dual certificate are computed once per structure
+object and kept on it; the gates read the kept report.
 """
 
 from __future__ import annotations
@@ -66,6 +66,16 @@ class LocalContactAlgebra:
     def bc_report(self) -> Report:
         """check_lca_axioms of this structure, computed once."""
         return check_lca_axioms(self)
+
+    @cached_property
+    def extension(self) -> ContactRelation:
+        """alexandroff_extension of this structure, built once."""
+        rel = self.contact
+        cogen = self.algebra.complement(self.ideal.generator)
+        if not cogen:
+            return rel
+        rows = tuple(row | cogen if cogen >> i & 1 else row for i, row in enumerate(rel.rows))
+        return ContactRelation(rel.algebra, rows)
 
     @cached_property
     def dual(self):
@@ -126,14 +136,11 @@ def alexandroff_extension(structure: LocalContactAlgebra) -> ContactRelation:
     nothing changes, otherwise unbounded elements acquire mutual contact.  An
     element is unbounded exactly when it meets the complement of the ideal
     generator, so the extension is the atom relation whose rows for atoms of
-    that complement gain the whole complement; contact stays additive.
+    that complement gain the whole complement; contact stays additive.  The
+    relation is built once per structure (LocalContactAlgebra.extension), so
+    every caller shares it and its tables.
     """
-    rel = structure.contact
-    cogen = structure.algebra.complement(structure.ideal.generator)
-    if not cogen:
-        return rel
-    rows = tuple(row | cogen if cogen >> i & 1 else row for i, row in enumerate(rel.rows))
-    return ContactRelation(rel.algebra, rows)
+    return structure.extension
 
 
 def alexandroff_certificate(structure: LocalContactAlgebra) -> Report:

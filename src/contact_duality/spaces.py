@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .boolalg import FiniteBooleanAlgebra, atom_unions
+from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, nca_as_lca
@@ -152,24 +152,6 @@ class FiniteSpace:
                     mask |= 1 << position[j]
             nbhd.append(mask)
         return FiniteSpace(names, tuple(nbhd))
-
-    def restrict_set(self, subset: int, m: int) -> int:
-        """Rewrite a point set of this space as a set of the subspace."""
-        kept = [i for i in range(self.point_count) if subset >> i & 1]
-        out = 0
-        for k, i in enumerate(kept):
-            if m >> i & 1:
-                out |= 1 << k
-        return out
-
-    def embed_set(self, subset: int, m: int) -> int:
-        """Rewrite a subspace point set as a set of this space."""
-        kept = [i for i in range(self.point_count) if subset >> i & 1]
-        out = 0
-        for k, i in enumerate(kept):
-            if m >> k & 1:
-                out |= 1 << i
-        return out
 
 
 def discrete_space(names) -> FiniteSpace:
@@ -587,8 +569,14 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
     big, small = rc_algebra(space), rc_algebra(sub)
     big_rc, small_rc = big.carrier, small.carrier
 
-    restrict = {f: space.restrict_set(subset, f) for f in big_rc}
-    extend = {g: space.closure_table[space.embed_set(subset, g)] for g in small_rc}
+    # each kept point's singleton in the other space; other points map to 0
+    kept = [i for i in range(space.point_count) if subset >> i & 1]
+    to_small = [0] * space.point_count
+    for k, i in enumerate(kept):
+        to_small[i] = 1 << k
+    to_big = [1 << i for i in kept]
+    restrict = {f: atom_join(to_small, f) for f in big_rc}
+    extend = {g: space.closure_table[atom_join(to_big, g)] for g in small_rc}
 
     violations = []
     if sorted(restrict.values()) != sorted(small_rc):

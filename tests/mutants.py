@@ -55,6 +55,9 @@ _RC_LAWS = f"{_ORACLES}::TestRegularClosedLawsOnAtoms"
 _ISO_LAWS = f"{_ORACLES}::TestRegularOpenAndTraceLawsOnAtoms"
 _RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
              "::test_no_element_walk_on_every_space_up_to_four_points")
+_DENSE = (f"{_ORACLES}::TestDenseSubspaceTables"
+          "::test_tables_equal_the_per_set_rewrites_up_to_four_points")
+_ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse"
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -236,6 +239,36 @@ MUTANTS = (
            "table = [restrict[f] for f in big.carrier]",
            ("tests/test_spaces.py::TestSubspacesAndDensity"
             "::test_no_element_walk_on_every_dense_subset_up_to_four_points",)),
+    Mutant("restrict-table-keeps-the-point-index", f"{PACKAGE}/spaces.py",
+           "to_small[i] = 1 << k",
+           "to_small[i] = 1 << i",
+           (_DENSE,)),
+    Mutant("extend-table-by-subspace-index", f"{PACKAGE}/spaces.py",
+           "to_big = [1 << i for i in kept]",
+           "to_big = [1 << k for k, i in enumerate(kept)]",
+           (_DENSE,)),
+    Mutant("extension-rebuilt-per-call", f"{PACKAGE}/localcontact.py",
+           "@cached_property\n    def extension(",
+           "@property\n    def extension(",
+           (f"{_ORACLES}::TestExtensionRows"
+            "::test_one_relation_per_structure_equal_to_a_fresh_build",)),
+    Mutant("parse-ignores-leftover-arguments", f"{PACKAGE}/cli.py",
+           "    if extras:\n        parser.error(",
+           "    if False:\n        parser.error(",
+           (_ONE_PASS,)),
+    Mutant("parse-names-the-verb-by-its-prog", f"{PACKAGE}/cli.py",
+           "args.verb = argv[0]",
+           "args.verb = verb_parser.prog",
+           (_ONE_PASS,)),
+    Mutant("decoder-skips-the-byte-order-mark-check", f"{PACKAGE}/jsonio.py",
+           'if text.startswith("\\ufeff"):',
+           "if False:",
+           ("tests/test_cli.py::TestParserRejections"
+            "::test_byte_order_mark_exits_two_with_the_json_message",)),
+    Mutant("non-utf8-file-escapes-as-a-traceback", f"{PACKAGE}/cli.py",
+           "except UnicodeDecodeError as exc:",
+           "except UnicodeEncodeError as exc:",
+           ("tests/test_cli.py::TestValidate::test_non_utf8_file_exit_two",)),
 )
 
 

@@ -13,7 +13,7 @@ from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import overlap_contact
 from contact_duality.duality import identity_morphism
 from contact_duality.localcontact import nca_as_lca
-from contact_duality.cli import REGION_SAMPLE_CAP, main
+from contact_duality.cli import REGION_SAMPLE_CAP, _parse, build_parser, main
 from corpus import discrete
 from test_golden import ROOT, command_lines
 from contact_duality.spaces import SpaceMap, discrete_space
@@ -65,6 +65,15 @@ class TestValidate:
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run(capsys, "validate", str(DATA / "nope.json"))
         assert code == 2
+
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = b'{"atoms": ["\xff\xfe"]}'
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: not UTF-8 text "
+                       f"(byte {data.index(0xff)}: invalid start byte)\n")
 
     @pytest.mark.parametrize("n", [9, 24])
     def test_path_relation_fails_interpolation_quickly(self, n, tmp_path, capsys):
@@ -504,6 +513,41 @@ class TestDeterminismAndRoundTrip:
         assert fresh[0][0] == 2 and "invalid choice" in fresh[0][2]
 
 
+VERBS = ("validate", "clusters", "dualize", "lift", "dual-map", "check-morphism", "compose",
+         "roundtrip", "region")
+PARSE_EDGE_CASES = (
+    [], ["-h"], ["--help"], ["bogus"], ["--format", "json", "validate", "a.json"],
+    *([verb] for verb in VERBS), *([verb, "-h"] for verb in VERBS),
+    ["validate", "a.json", "b.json"], ["compose", "a.json", "b.json", "c.json"],
+    ["validate", "a.json", "--format", "xml"], ["validate", "a.json", "--max-atoms", "x"],
+    ["validate", "a.json", "--bogus"], ["validate", "--", "-a.json"],
+    ["check-morphism", "a.json", "--kind", "DVAL", "--format", "json", "--max-atoms", "30"],
+    ["compose", "a.json", "b.json", "--seed", "3"],
+    ["region", "laws", "--samples", "40", "--seed", "5"], ["region", "--samples", "x"],
+    ["region", "affine", "--", "-1/2", "0", "[0,1]"],
+    ["region", "affine", "--format", "json", "--", "-1/2", "0", "[0,1]"],
+    ["region", "--format", "json", "affine", "--", "-1/2", "0", "[0,1]"],
+)
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace parse(argv) gives, or its exit code, stdout and stderr."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("argv", PARSE_EDGE_CASES, ids=" ".join)
+    def test_equals_the_two_pass_parse(self, argv, capsys):
+        # the top-level parser's own parse_args runs the verb's parser as a
+        # second pass; main's one pass must give the same namespace or exit
+        expected = parse_outcome(build_parser().parse_args, list(argv), capsys)
+        assert parse_outcome(_parse, list(argv), capsys) == expected
+
+
 class TestCapOverride:
     def test_max_atoms_flag_raises_the_cap(self, capsys, tmp_path, monkeypatch):
         from contact_duality.boolalg import MAX_ATOMS_ENV
@@ -575,6 +619,13 @@ class TestParserRejections:
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: arrays or objects nested too deeply\n"
+
+    def test_byte_order_mark_exits_two_with_the_json_message(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_text('\ufeff{"atoms": ["p"]}', encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
 
     def test_overlong_json_integer_exits_two(self, tmp_path, capsys):
         path = tmp_path / "long.json"

@@ -627,6 +627,30 @@ def oracle_closed(f):
     return all(f.target.is_closed(f.image(s)) for s in oracle_closed_sets(f.source))
 
 
+# Point sets rewritten between a space and its subspace one set at a time:
+# the per-set loops that dense_subspace_isomorphism's tables replaced.
+
+
+def oracle_restrict_set(space, subset, m):
+    """Rewrite a point set of space as a set of the subspace on subset."""
+    kept = [i for i in range(space.point_count) if subset >> i & 1]
+    out = 0
+    for k, i in enumerate(kept):
+        if m >> i & 1:
+            out |= 1 << k
+    return out
+
+
+def oracle_embed_set(space, subset, m):
+    """Rewrite a point set of the subspace on subset as a set of space."""
+    kept = [i for i in range(space.point_count) if subset >> i & 1]
+    out = 0
+    for k, i in enumerate(kept):
+        if m >> k & 1:
+            out |= 1 << i
+    return out
+
+
 # helpers -------------------------------------------------------------------
 
 
@@ -709,6 +733,14 @@ class TestExtensionRows:
                         assert ext.inner(c) == max(below)
                         assert [b for b in rel.algebra.elements()
                                 if ext.way_below(b, c)] == below
+
+    def test_one_relation_per_structure_equal_to_a_fresh_build(self):
+        for s in structures_up_to(3):
+            ext, oracle, n = alexandroff_extension(s), oracle_extension(s), s.algebra.atom_count
+            assert alexandroff_extension(s) is ext
+            rows = tuple(_join(1 << j for j in range(n) if oracle.contact(1 << i, 1 << j))
+                         for i in range(n))
+            assert ext == ContactRelation(s.algebra, rows)
 
     def test_improper_ideal_returns_the_relation_itself(self):
         for rel in atom_relations(3):
@@ -1339,3 +1371,20 @@ class TestRegularOpenAndTraceLawsOnAtoms:
                     laws.add(law and law.axiom)
         assert passed > 0
         assert laws == {None, "join", "complement"}
+
+
+class TestDenseSubspaceTables:
+    def test_tables_equal_the_per_set_rewrites_up_to_four_points(self):
+        pairs = 0
+        for space in [s for n in range(1, 5) for s in all_preorder_spaces(n)]:
+            for subset in range(1, space.everything + 1):
+                if space.closure(subset) != space.everything:
+                    continue
+                iso = dense_subspace_isomorphism(space, subset)
+                big, small = rc_algebra(space).carrier, rc_algebra(iso.subspace).carrier
+                assert list(iso.restrict.items()) == [
+                    (f, oracle_restrict_set(space, subset, f)) for f in big]
+                assert list(iso.extend.items()) == [
+                    (g, space.closure(oracle_embed_set(space, subset, g))) for g in small]
+                pairs += 1
+        assert pairs == 2271
