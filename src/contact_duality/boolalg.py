@@ -8,9 +8,10 @@ int subclasses are refused) within the algebra's width, which makes
 accidental mixing of algebras detectable.  The atom count, size and top are
 computed once per algebra, so that check is a few comparisons.
 
-atom_join and atom_unions join a value per atom over the atoms of a mask;
-contact reach, regular closed point sets, dense-subspace traces and
-dual-space regions all use them.
+atom_join and atom_unions join a value per atom over the atoms of a mask,
+and subset_joins a value per element over the elements below a mask; contact
+reach, regular closed point sets, dense-subspace traces, dual-space regions
+and the morphism calculus's lower joins use them.
 
 The default atom cap of 24 keeps exhaustive element enumeration feasible in
 tests; the CONTACT_DUALITY_MAX_ATOMS environment variable raises it at the
@@ -152,3 +153,17 @@ def atom_unions(values) -> tuple[int, ...]:
         low = a & -a
         table.append(table[a ^ low] | values[low.bit_length() - 1])
     return tuple(table)
+
+
+def subset_joins(table) -> list[int]:
+    """For every c below len(table), a power of two, the join of table[b]
+    over all b below c: one pass per atom, each joining into every entry that
+    holds the atom the entry without it, n * 2^(n - 1) joins in all."""
+    out = list(table)
+    size, bit = len(out), 1
+    while bit < size:
+        for low in range(0, size, bit << 1):
+            for c in range(low | bit, low + (bit << 1)):
+                out[c] |= out[c ^ bit]
+        bit <<= 1
+    return out

@@ -364,14 +364,17 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv) -> argparse.Namespace:
-    """The namespace build_parser().parse_args(argv) gives, in one argparse
-    pass when argv starts with a verb: that verb's parser reads the rest, and
-    the top-level parser reports what it leaves over."""
+    """The namespace build_parser().parse_args(argv) gives, read in one pass
+    by the verb's own parser when argv starts with a verb.  If that leaves any
+    over, an intermixed pass rereads it all, so an option may also stand between
+    region's operation and its operands; the top-level parser reports the rest."""
     parser, verbs = _parsers()
     verb_parser = verbs.get(argv[0]) if argv else None
     if verb_parser is None:  # help, a missing or unknown verb, an option first
         return parser.parse_args(argv)
     args, extras = verb_parser.parse_known_args(argv[1:])
+    if extras:
+        args, extras = verb_parser.parse_known_intermixed_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.verb = argv[0]

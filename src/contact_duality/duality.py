@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
-from .boolalg import atom_join, atom_unions
+from .boolalg import atom_join, atom_unions, subset_joins
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .contact import ContactRelation
 from .errors import IntegrityError, Refusal, StructureError
@@ -150,8 +150,8 @@ def _monotone_witnesses(src: LocalContactAlgebra, tgt: LocalContactAlgebra,
 
 def _walked_witnesses(src: LocalContactAlgebra, tgt: LocalContactAlgebra,
                       table: tuple[int, ...], src_bounded: list[int]) -> dict[str, Violation]:
-    """The least witnesses of PAL2, PAL3, PAL4 and PAL6 by walking elements:
-    4^n pairs for PAL2 and PAL3, and 3^n for PAL6."""
+    """The least witnesses of PAL2, PAL3, PAL4 and PAL6 for any table: PAL2
+    and PAL3 by walking the 4^n element pairs, PAL6 from the lower joins."""
     A, B = src.algebra, tgt.algebra
     rho_inner = _inner_table(src.contact)
     eta_inner = _inner_table(tgt.contact)
@@ -196,19 +196,13 @@ def _inner_table(relation: ContactRelation) -> list[int]:
     return [relation.inner(c) for c in relation.algebra.elements()]
 
 
-def _lower_joins(structure: LocalContactAlgebra, table: tuple[int, ...]):
-    """For each a ascending, the join of table[b] over the b well inside a.
-
-    Well-inside is taken in the Alexandroff extension of the structure; those
-    b are exactly the elements below the extension's inner(a).
-    """
-    ext = alexandroff_extension(structure)
-    for inner in _inner_table(ext):
-        sup, b = table[0], inner
-        while b:
-            sup |= table[b]
-            b = (b - 1) & inner
-        yield sup
+def _lower_joins(structure: LocalContactAlgebra, table: tuple[int, ...]) -> list[int]:
+    """For each a ascending, the join of table[b] over the b well inside a in
+    the Alexandroff extension of the structure: those b are exactly the
+    elements below the extension's inner(a), so it is entry inner(a) of
+    subset_joins(table), for every table."""
+    joins = subset_joins(table)
+    return [joins[inner] for inner in _inner_table(alexandroff_extension(structure))]
 
 
 def regularize(phi: AlgebraMorphism) -> AlgebraMorphism:
@@ -485,11 +479,21 @@ class EmbeddingResult:
 def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
     """Algebraic test for the dual of a map being a closed embedding.
 
-    Condition one: every well-inside pair on the morphism's target side
-    interpolates through a value of the morphism.  Condition two: well-inside
-    between values is witnessed by a well-inside pair of arguments with the
-    same values.  Well-inside is taken in the respective Alexandroff
-    extensions.
+    EMB1: every well-inside pair a << b on the morphism's target side
+    interpolates through a value.  EMB2: a value is well inside another
+    exactly when some arguments with those values are.  Well-inside is taken
+    in each side's Alexandroff extension; the report names each condition's
+    least failing pair.
+
+    The gates require PAL, and BC on both sides.  BC3 then leaves every row
+    its own atom and the ideal improper, so each extension is the relation
+    and well-inside is the order; that premise is read off the extension
+    rows, and a row breaking it is an internal bug.  So EMB1 fails exactly at
+    (a, a) for the least a that is not a value: a value a passes with v = a,
+    and any other a fails at b = a, the least b above it.  EMB2 never fails:
+    if phi(a) <= phi(b), then phi(a & b) = phi(a) by PAL2, so a & b lies in
+    the fibre of phi(a) and below b; conversely a1 <= b1 gives
+    phi(a1) <= phi(b1), a meet-preserving table being monotone.
     """
     pal = check_morphism(phi, "PAL")
     if not pal.ok:
@@ -498,44 +502,13 @@ def check_closed_embedding(phi: AlgebraMorphism) -> EmbeddingResult:
         if not side.bc_report.ok:
             raise Refusal("closed embedding test requires validated structures",
                           side.bc_report)
+        if any(row != 1 << i for i, row in enumerate(alexandroff_extension(side).rows)):
+            raise IntegrityError("validated structure has a row that is not its own atom")
 
     A = phi.target.algebra
-    B = phi.source.algebra
-    inner_a = _inner_table(alexandroff_extension(phi.target))
-    inner_b = _inner_table(alexandroff_extension(phi.source))
-    values = set(phi.table)
-    fibres: dict[int, list[int]] = {}
-    for b in B.elements():
-        fibres.setdefault(phi.table[b], []).append(b)
-    violations = []
-
-    done = False
-    for a in A.elements():
-        if done:
-            break
-        for b in A.elements():
-            if a | inner_a[b] != inner_a[b]:
-                continue
-            if not any(a | inner_a[v] == inner_a[v] and v | inner_a[b] == inner_a[b]
-                       for v in values):
-                violations.append(Violation("EMB1", (A.names_of(a), A.names_of(b))))
-                done = True
-                break
-
-    done = False
-    for a in B.elements():
-        if done:
-            break
-        for b in B.elements():
-            left = phi.table[a] | inner_a[phi.table[b]] == inner_a[phi.table[b]]
-            right = any(a1 | inner_b[b1] == inner_b[b1]
-                        for a1 in fibres[phi.table[a]] for b1 in fibres[phi.table[b]])
-            if left != right:
-                violations.append(Violation("EMB2", (B.names_of(a), B.names_of(b))))
-                done = True
-                break
-
-    report = Report("closed embedding conditions", tuple(violations))
+    missing = min(set(A.elements()) - set(phi.table), default=None)
+    violations = () if missing is None else (Violation("EMB1", (A.names_of(missing),) * 2),)
+    report = Report("closed embedding conditions", violations)
     return EmbeddingResult(report.ok, report)
 
 

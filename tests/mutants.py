@@ -58,6 +58,11 @@ _RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
 _DENSE = (f"{_ORACLES}::TestDenseSubspaceTables"
           "::test_tables_equal_the_per_set_rewrites_up_to_four_points")
 _ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse"
+_SUBSET_JOINS = tuple(
+    f"tests/test_boolalg.py::test_subset_joins_equal_the_submask_join_on_{tables}"
+    for tables in ("every_table_up_to_two_atoms", "seeded_tables"))
+_EMBEDDINGS = (f"{_ORACLES}::TestMorphismCalculus"
+               "::test_closed_embedding_of_every_small_boolean_homomorphism",)
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -252,6 +257,28 @@ MUTANTS = (
            "@property\n    def extension(",
            (f"{_ORACLES}::TestExtensionRows"
             "::test_one_relation_per_structure_equal_to_a_fresh_build",)),
+    Mutant("subset-joins-skip-the-last-atom", f"{PACKAGE}/boolalg.py",
+           "while bit < size:",
+           "while bit < size >> 1:",
+           _SUBSET_JOINS),
+    Mutant("subset-joins-assign-in-place-of-join", f"{PACKAGE}/boolalg.py",
+           "out[c] |= out[c ^ bit]",
+           "out[c] = out[c ^ bit]",
+           _SUBSET_JOINS),
+    Mutant("emb1-at-the-greatest-missing-value", f"{PACKAGE}/duality.py",
+           "missing = min(set(A.elements()) - set(phi.table), default=None)",
+           "missing = max(set(A.elements()) - set(phi.table), default=None)",
+           _EMBEDDINGS),
+    Mutant("closed-embedding-without-the-row-premise", f"{PACKAGE}/duality.py",
+           "if any(row != 1 << i for i, row in enumerate(alexandroff_extension(side).rows)):",
+           "if False:",
+           ("tests/test_duality.py::TestClosedEmbeddingAtTheCap"
+            "::test_forged_boundedness_report_on_a_path_structure_is_an_integrity_error",)),
+    Mutant("parse-without-the-intermixed-pass", f"{PACKAGE}/cli.py",
+           "    if extras:\n        args, extras = verb_parser.parse_known_intermixed_args(argv[1:])\n",
+           "",
+           (_ONE_PASS, "tests/test_cli.py::TestOnePassParse"
+            "::test_option_after_the_operation_runs_as_before_it")),
     Mutant("parse-ignores-leftover-arguments", f"{PACKAGE}/cli.py",
            "    if extras:\n        parser.error(",
            "    if False:\n        parser.error(",

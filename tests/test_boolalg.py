@@ -1,8 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from contact_duality.boolalg import MAX_ATOMS_ENV, FiniteBooleanAlgebra, atom_join, atom_unions
+from contact_duality.boolalg import (
+    MAX_ATOMS_ENV,
+    FiniteBooleanAlgebra,
+    atom_join,
+    atom_unions,
+    subset_joins,
+)
 from contact_duality.errors import StructureError
 
 
@@ -128,6 +135,36 @@ def test_atom_unions_equal_atom_join_on_seeded_values():
                     if a >> i & 1:
                         expected |= values[i]
                 assert table[a] == atom_join(values, a) == expected, (values, a)
+
+
+def brute_subset_joins(table):
+    """For every c, the join of table[b] over every b below c, by the submask test."""
+    out = []
+    for c in range(len(table)):
+        join = 0
+        for b in range(len(table)):
+            if b | c == c:
+                join |= table[b]
+        out.append(join)
+    return out
+
+
+def test_subset_joins_equal_the_submask_join_on_every_table_up_to_two_atoms():
+    tables = 0
+    for n in (0, 1, 2):
+        for table in itertools.product(range(4), repeat=1 << n):
+            assert subset_joins(table) == brute_subset_joins(table), table
+            tables += 1
+    assert tables == 4 + 16 + 256
+
+
+def test_subset_joins_equal_the_submask_join_on_seeded_tables():
+    rng = random.Random(1912)
+    for n in range(7):
+        for _ in range(6):
+            table = tuple(rng.getrandbits(n + 3) if rng.random() < 0.3 else 0
+                          for _ in range(1 << n))
+            assert subset_joins(table) == brute_subset_joins(table), (n, table)
 
 
 def test_atom_index_refuses_unknown_and_unhashable_names(pq):

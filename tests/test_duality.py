@@ -1,13 +1,14 @@
 import dataclasses
 import random
+import time
 from itertools import product
 
 import pytest
 
 import contact_duality.duality as duality_module
-from contact_duality.boolalg import FiniteBooleanAlgebra
+from contact_duality.boolalg import FiniteBooleanAlgebra, atom_unions
 from contact_duality.clusters import check_cluster, grill_clusters
-from contact_duality.contact import check_axioms, overlap_contact
+from contact_duality.contact import ContactRelation, check_axioms, overlap_contact
 from corpus import (
     all_maps,
     all_preorder_spaces,
@@ -660,6 +661,55 @@ class TestClosedEmbedding:
                         direct = (map_predicates(core).continuous
                                   and map_predicates(inverse).continuous)
                     assert algebraic == direct
+
+
+def wide_overlap(n):
+    return nca_as_lca(overlap_contact(FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(n)))))
+
+
+def homomorphism_table(n, pick):
+    """The Boolean homomorphism table on n source atoms that sends target
+    atom j to source atom pick[j]."""
+    return atom_unions([sum(1 << j for j, i in enumerate(pick) if i == k) for k in range(n)])
+
+
+class TestClosedEmbeddingAtTheCap:
+    """Closed embeddings are decided in closed form, so the 16-atom cap bounds
+    their time; the walk over element pairs took 3.3 s at 10 atoms and 12.8 s
+    at 11."""
+
+    def timed(self, phi):
+        start = time.perf_counter()
+        found = check_closed_embedding(phi)
+        assert time.perf_counter() - start < 5.0
+        return found
+
+    def test_identity_at_the_cap(self):
+        found = self.timed(identity_morphism(wide_overlap(16)))
+        assert found.is_embedding and found.report.violations == ()
+
+    def test_homomorphism_that_is_not_onto_at_the_cap(self):
+        # target atoms a14 and a15 both go to source atom a14, so {a14} is
+        # the least element outside the image
+        s = wide_overlap(16)
+        found = self.timed(AlgebraMorphism(s, s, homomorphism_table(16, [*range(15), 14])))
+        assert not found.is_embedding
+        assert [(v.axiom, v.witness) for v in found.report.violations] == \
+            [("EMB1", (("a14",), ("a14",)))]
+
+    def test_forged_boundedness_report_on_a_path_structure_is_an_integrity_error(self):
+        point = improper_overlap(1)
+        path3 = nca_as_lca(ContactRelation(FiniteBooleanAlgebra.of("p", "q", "r"),
+                                           (0b011, 0b111, 0b110)))
+        path2 = nca_as_lca(ContactRelation(FiniteBooleanAlgebra.of("p", "q"), (0b11, 0b11)))
+        for phi, path in ((AlgebraMorphism(point, path3, (0, 7)), path3),
+                          (AlgebraMorphism(path2, point, (0, 0, 0, 1)), path2)):
+            assert check_morphism(phi).ok
+            with pytest.raises(Refusal, match="requires validated structures"):
+                check_closed_embedding(phi)
+            path.__dict__["bc_report"] = Report("BC axioms", ())  # a passing report, forged
+            with pytest.raises(IntegrityError, match="not its own atom"):
+                check_closed_embedding(phi)
 
 
 class TestRoundTrips:

@@ -94,7 +94,7 @@ from contact_duality.spaces import (
     space_predicates,
     trace_law_violation,
 )
-from test_duality import morphism_candidates
+from test_duality import boolean_homomorphisms, improper_overlap, morphism_candidates
 
 
 # oracles -------------------------------------------------------------------
@@ -793,6 +793,36 @@ class TestMorphismCalculus:
         for phi in corpus:
             assert outcome(check_closed_embedding, phi) == \
                 outcome(oracle_check_closed_embedding, phi), phi.table
+
+    def test_regularize_on_seeded_non_monotone_tables_with_proper_ideals(self):
+        # the corpus stops at 3 atoms; every table here fails monotonicity
+        rng = random.Random(1914)
+        for n in (4, 5, 6):
+            for _ in range(4):
+                gen = rng.randrange(1, (1 << n) - 1)
+                s = LocalContactAlgebra(random_atom_relation(n, rng),
+                                        BoundedIdeal(small_algebra(n), gen))
+                m = rng.randint(1, 4)
+                t = LocalContactAlgebra(random_atom_relation(m, rng),
+                                        BoundedIdeal(small_algebra(m), rng.randrange(1 << m)))
+                table = tuple(rng.randrange(t.algebra.size) for _ in s.algebra.elements())
+                assert any(table[a] & ~table[a | 1 << i] for a in range(1 << n) for i in range(n))
+                phi = AlgebraMorphism(s, t, table)
+                assert regularize(phi) == oracle_regularize(phi), (s, table)
+
+    def test_closed_embedding_of_every_small_boolean_homomorphism(self):
+        homomorphisms = not_onto = 0
+        for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)):
+            s, t = improper_overlap(n), improper_overlap(m)
+            for table in sorted(boolean_homomorphisms(s, t)):
+                phi = AlgebraMorphism(s, t, table)
+                found = check_closed_embedding(phi)
+                assert found == oracle_check_closed_embedding(phi), table
+                onto = len(set(table)) == t.algebra.size
+                assert found.is_embedding == onto
+                homomorphisms += 1
+                not_onto += not onto
+        assert (homomorphisms, not_onto) == (25, 14)
 
 
 def filter_table(source, target, least):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from contact_duality import jsonio
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import ContactRelation, check_axioms
-from contact_duality.duality import AlgebraMorphism, check_morphism
+from contact_duality.duality import AlgebraMorphism, check_closed_embedding, check_morphism
 from contact_duality.errors import StructureError
 from contact_duality.localcontact import BoundedIdeal, LocalContactAlgebra, check_lca_axioms
 from contact_duality.regions import NEG_INF, POS_INF, RationalRegion, expand
@@ -28,11 +28,13 @@ from test_oracles import (
     element_scan,
     filter_table,
     oracle_check_axioms,
+    oracle_check_closed_embedding,
     oracle_check_lca_axioms,
     oracle_check_morphism,
     oracle_merged,
     outcome,
 )
+from test_duality import homomorphism_table, wide_overlap
 
 
 @st.composite
@@ -97,6 +99,25 @@ def morphisms(draw, max_atoms):
 def test_morphism_axioms_equal_the_element_walk(phi):
     for kind in ("PAL", "DVAL"):
         assert check_morphism(phi, kind) == oracle_check_morphism(phi, kind)
+
+
+@st.composite
+def overlap_homomorphisms(draw, max_atoms):
+    """A Boolean homomorphism between overlap structures with the improper
+    ideal, target atom j going to source atom pick[j]; half the time one entry
+    is then changed, which the morphism gate mostly refuses."""
+    n, m = draw(st.integers(1, max_atoms)), draw(st.integers(1, max_atoms))
+    pick = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    table = list(homomorphism_table(n, pick))
+    if draw(st.booleans()):
+        table[draw(st.integers(0, (1 << n) - 1))] = draw(st.integers(0, (1 << m) - 1))
+    return AlgebraMorphism(wide_overlap(n), wide_overlap(m), tuple(table))
+
+
+@settings(max_examples=40)
+@given(overlap_homomorphisms(5))
+def test_closed_embedding_equals_the_element_walk(phi):
+    assert outcome(check_closed_embedding, phi) == outcome(oracle_check_closed_embedding, phi)
 
 
 # Endpoints on a half-integer grid, so that two drawn regions often share
