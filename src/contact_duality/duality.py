@@ -417,11 +417,13 @@ def dual_of_map(f: SpaceMap) -> AlgebraMorphism:
         raise Refusal(f"map is not perfect: fails the {failed} predicate")
     rc_src = rc_algebra(f.source)
     rc_tgt = rc_algebra(f.target)
-    table = []
-    for pointset in rc_tgt.pointsets:
-        pulled = f.source.closure(f.preimage(f.target.interior(pointset)))
-        table.append(rc_src.to_element(pulled))
-    return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), tuple(table))
+    # every entry is read from tables: the interior of P is the complement
+    # of the closure of its complement, and preimage preserves unions
+    top, cl_tgt, cl_src = f.target.everything, f.target.closure_table, f.source.closure_table
+    pre = atom_unions([f.preimage(1 << y) for y in range(f.target.point_count)])
+    table = tuple(rc_src.to_element(cl_src[pre[top ^ cl_tgt[top ^ pointset]]])
+                  for pointset in rc_tgt.pointsets)
+    return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), table)
 
 
 def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:

@@ -368,14 +368,15 @@ class RegularClosedAlgebra:
         """The union of the atoms of each element, in element order."""
         return atom_unions(self.atoms)
 
+    @cached_property
+    def _elements(self) -> dict[int, int]:
+        """The element of each point set in pointsets, 2ᵏ entries for k atoms."""
+        return {pointset: element for element, pointset in enumerate(self.pointsets)}
+
     def to_element(self, pointset: int) -> int:
-        mask = 0
-        for k, atom in enumerate(self.atoms):
-            if atom & pointset == atom:
-                mask |= 1 << k
-        if self.pointsets[mask] != pointset:
+        if pointset not in self._elements:
             raise StructureError("point set is not regular closed in this space")
-        return mask
+        return self._elements[pointset]
 
     def to_pointset(self, element: int) -> int:
         return self.pointsets[self.algebra.check_element(element)]

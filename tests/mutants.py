@@ -58,6 +58,7 @@ _RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
 _DENSE = (f"{_ORACLES}::TestDenseSubspaceTables"
           "::test_tables_equal_the_per_set_rewrites_up_to_four_points")
 _ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse"
+_DUAL_MAPS = f"{_ORACLES}::TestDualOfMapTables::test_every_map_between_spaces_up_to_three_points"
 _SUBSET_JOINS = tuple(
     f"tests/test_boolalg.py::test_subset_joins_equal_the_submask_join_on_{tables}"
     for tables in ("every_table_up_to_two_atoms", "seeded_tables"))
@@ -274,6 +275,19 @@ MUTANTS = (
            "if False:",
            ("tests/test_duality.py::TestClosedEmbeddingAtTheCap"
             "::test_forged_boundedness_report_on_a_path_structure_is_an_integrity_error",)),
+    Mutant("dual-of-map-reads-the-interior-as-the-closure", f"{PACKAGE}/duality.py",
+           "pre[top ^ cl_tgt[top ^ pointset]]",
+           "pre[cl_tgt[pointset]]",
+           (_DUAL_MAPS,)),
+    Mutant("dual-of-map-preimages-from-images", f"{PACKAGE}/duality.py",
+           "[f.preimage(1 << y) for y",
+           "[f.image(1 << y) for y",
+           (_DUAL_MAPS,)),
+    Mutant("to-element-indexes-the-atoms", f"{PACKAGE}/spaces.py",
+           "for element, pointset in enumerate(self.pointsets)}",
+           "for element, pointset in enumerate(self.atoms)}",
+           (f"{_ORACLES}::TestDualOfMapTables"
+            "::test_to_element_equals_the_atom_scan_up_to_four_points",)),
     Mutant("parse-without-the-intermixed-pass", f"{PACKAGE}/cli.py",
            "    if extras:\n        args, extras = verb_parser.parse_known_intermixed_args(argv[1:])\n",
            "",

@@ -360,6 +360,16 @@ class TestScaledDualSpaces:
         found = self.timed(capsys, "roundtrip", path)
         assert found == (0, "roundtrip: morphism naturality: pass\n", "")
 
+    def test_identity_map_of_the_discrete_space_at_the_cap(self, tmp_path, capsys):
+        # its dual is the identity morphism of the 16-atom overlap structure
+        path = tmp_path / "identity_map16.json"
+        space = discrete_space(f"a{i}" for i in range(16))
+        path.write_text(jsonio.dumps(jsonio.map_to_json(SpaceMap.identity(space))))
+        found = self.timed(capsys, "dual-map", str(path), "--format", "json")
+        assert found == (0, identity_morphism_file(tmp_path, 16).read_text(), "")
+        found = self.timed(capsys, "roundtrip", str(path))
+        assert found == (0, "roundtrip: map naturality: pass\n", "")
+
     def test_compose_of_the_identity_at_the_cap(self, tmp_path, capsys):
         # regularization reads one subset-join table; the submask walk took
         # 6.0-6.8 s on this pair in a fresh process

@@ -298,6 +298,21 @@ class TestDualOfMap:
             dual_of_map(f)
         assert "closed" in str(err.value)
 
+    def test_reads_tables_in_place_of_point_scans(self, monkeypatch):
+        # with the regular closed algebra built, the per-set loop made one
+        # interior and one preimage call per regular closed set: 256 each here
+        f = SpaceMap.identity(discrete(8))
+        rc_algebra(f.source)
+        calls = {"interior": 0, "preimage": 0}
+        for cls, name in ((FiniteSpace, "interior"), (SpaceMap, "preimage")):
+            def counting(self, m, original=getattr(cls, name), name=name):
+                calls[name] += 1
+                return original(self, m)
+            monkeypatch.setattr(cls, name, counting)
+        assert dual_of_map(f).table == tuple(range(256))
+        assert calls["interior"] == 0
+        assert calls["preimage"] <= 8
+
     def test_duals_of_perfect_maps_are_lawful(self):
         for n in (1, 2, 3):
             for m in (1, 2, 3):

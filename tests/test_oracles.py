@@ -19,7 +19,9 @@ infinities, and the region laws sampler against the same draws made with
 Fraction arithmetic.  The polynomial connectedness and closed-map tests and
 the regular closed sets from one closure table are checked against the
 scans over all point sets, the regular closed atoms against the all-pairs
-scan, and the atom test of the isomorphism certificates (the regular
+scan, the dual of a map from closure and preimage tables against the
+per-set loop of point scans, the element index of a regular closed algebra
+against the atom scan, and the atom test of the isomorphism certificates (the regular
 closed table, the regular open closure map and the dense-subspace trace)
 against the element walk of first_law_violation.
 """
@@ -51,6 +53,7 @@ from corpus import (
     dual_morphism_corpus,
     ideal_structures,
     random_atom_relation,
+    sampled_preorder_spaces,
     small_algebra,
 )
 from contact_duality.duality import (
@@ -58,6 +61,7 @@ from contact_duality.duality import (
     EmbeddingResult,
     check_closed_embedding,
     check_morphism,
+    dual_of_map,
     dual_of_morphism,
     dual_space,
     regularize,
@@ -625,6 +629,35 @@ def oracle_rc_atoms(carrier):
 
 def oracle_closed(f):
     return all(f.target.is_closed(f.image(s)) for s in oracle_closed_sets(f.source))
+
+
+# The dual of a map one regular closed set at a time, with three point scans
+# per set, and the element of a point set by a scan over the atoms: the loop
+# and the scan that dual_of_map's tables and to_element's index replaced.
+
+
+def oracle_to_element(rc, pointset):
+    mask = 0
+    for k, atom in enumerate(rc.atoms):
+        if atom & pointset == atom:
+            mask |= 1 << k
+    if rc.pointsets[mask] != pointset:
+        raise StructureError("point set is not regular closed in this space")
+    return mask
+
+
+def oracle_dual_of_map(f):
+    preds = map_predicates(f)
+    if not preds.perfect:
+        failed = "continuous" if not preds.continuous else "closed"
+        raise Refusal(f"map is not perfect: fails the {failed} predicate")
+    rc_src = rc_algebra(f.source)
+    rc_tgt = rc_algebra(f.target)
+    table = []
+    for pointset in rc_tgt.pointsets:
+        pulled = f.source.closure(f.preimage(f.target.interior(pointset)))
+        table.append(oracle_to_element(rc_src, pulled))
+    return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), tuple(table))
 
 
 # Point sets rewritten between a space and its subspace one set at a time:
@@ -1418,3 +1451,57 @@ class TestDenseSubspaceTables:
                     (g, space.closure(oracle_embed_set(space, subset, g))) for g in small]
                 pairs += 1
         assert pairs == 2271
+
+
+# dual of a map from tables -------------------------------------------------------
+
+
+def seeded_maps(seed=CORPUS_SEED):
+    """Maps between sampled spaces of 4-6 points: the identity of each space,
+    every constant map and four seeded assignments per pair."""
+    rng = random.Random(seed)
+    spaces = [s for n in (4, 5, 6) for s in [discrete(n)] + sampled_preorder_spaces(n, 3, seed)]
+    for source in spaces:
+        yield SpaceMap.identity(source)
+        for target in spaces:
+            for y in range(target.point_count):
+                yield SpaceMap(source, target, (y,) * source.point_count)
+            for _ in range(4):
+                yield SpaceMap(source, target, tuple(rng.randrange(target.point_count)
+                                                     for _ in range(source.point_count)))
+
+
+class TestDualOfMapTables:
+    """dual_of_map equals the per-set loop, table or refusal text alike, and
+    to_element equals the atom scan, element or StructureError text alike."""
+
+    def compare(self, maps):
+        outcomes = []
+        for f in maps:
+            found = outcome(dual_of_map, f)
+            assert found == outcome(oracle_dual_of_map, f), (
+                f.source.min_nbhd, f.target.min_nbhd, f.assignment)
+            outcomes.append(found[0] if found[0] == "value" else found[1])
+        return outcomes
+
+    def test_every_map_between_spaces_up_to_three_points(self):
+        spaces = [s for n in (1, 2, 3) for s in all_preorder_spaces(n)]
+        outcomes = self.compare(f for a in spaces for b in spaces for f in all_maps(a, b))
+        assert len(outcomes) == 24872
+        assert set(outcomes) == {"value", "map is not perfect: fails the continuous predicate",
+                                 "map is not perfect: fails the closed predicate"}
+
+    def test_seeded_maps_between_spaces_of_four_to_six_points(self):
+        outcomes = self.compare(seeded_maps())
+        assert len(set(outcomes)) == 3
+        assert outcomes.count("value") > len(outcomes) // 4
+
+    def test_to_element_equals_the_atom_scan_up_to_four_points(self):
+        found = set()
+        for space in [s for n in (1, 2, 3, 4) for s in all_preorder_spaces(n)]:
+            rc = rc_algebra(space)
+            for m in range(space.everything + 1):
+                result = outcome(rc.to_element, m)
+                assert result == outcome(oracle_to_element, rc, m), (space.min_nbhd, m)
+                found.add(result[0])
+        assert found == {"value", "StructureError"}
