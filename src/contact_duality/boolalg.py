@@ -82,32 +82,11 @@ class FiniteBooleanAlgebra:
     def elements(self) -> Iterator[int]:
         return iter(range(self.size))
 
-    def atoms(self) -> Iterator[int]:
-        return (1 << i for i in range(self.atom_count))
-
-    def join(self, a: int, b: int) -> int:
-        return self.check_element(a) | self.check_element(b)
-
-    def meet(self, a: int, b: int) -> int:
-        return self.check_element(a) & self.check_element(b)
-
     def complement(self, a: int) -> int:
         return self.top ^ self.check_element(a)
 
     def le(self, a: int, b: int) -> bool:
         return self.check_element(a) | self.check_element(b) == b
-
-    def big_join(self, items: Iterable[int]) -> int:
-        out = 0
-        for a in items:
-            out |= self.check_element(a)
-        return out
-
-    def big_meet(self, items: Iterable[int]) -> int:
-        out = self.top
-        for a in items:
-            out &= self.check_element(a)
-        return out
 
     def atoms_of(self, a: int) -> list[int]:
         """Ascending bit positions of the atoms below a; empty only for 0."""

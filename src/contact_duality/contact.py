@@ -76,6 +76,10 @@ class ContactRelation(ContactQuery):
             return None
         return atom_unions(self.rows)
 
+    def reach_table(self) -> tuple[int, ...]:
+        """R(a) for every a: the kept table, or above its width one built per call."""
+        return self._reach or atom_unions(self.rows)
+
     def contact(self, a: int, b: int) -> bool:
         self.algebra.check_element(a)
         self.algebra.check_element(b)

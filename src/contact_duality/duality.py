@@ -1,7 +1,8 @@
 """The two contravariant functors and the morphism calculus.
 
 Morphisms between local contact structures are total element tables checked
-against the six morphism axioms.  Composition is table composition followed
+against the six morphism axioms by the same passes over every table, so the
+atom caps bound the check.  Composition is table composition followed
 by regularization (each value replaced by the join of the map over the lower
 well-inside set), which keeps the sixth axiom stable.
 
@@ -14,12 +15,11 @@ space of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import and_
 
-from .boolalg import atom_join, atom_unions, subset_joins
+from .boolalg import atom_unions, subset_joins
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
-from .contact import ContactRelation
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension, nca_as_lca
 from .report import Report, Violation
@@ -67,11 +67,16 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
     and the extension used in the supremum axiom collapses to the plain
     contact, which is the classical compact-side morphism notion.
 
-    PAL2 is decided per target atom (_preserves_meets).  A table that passes
-    it is monotone, and PAL3, PAL4 and PAL6 are then decided in one pass each
-    (_monotone_witnesses).  A table that fails it is reported by the walk
-    over all element pairs (_walked_witnesses), which the atom caps do not
-    bound.  Either way the report, least witnesses included, is the walk's.
+    Every table is decided by the same passes over it, in O((n + m) * 2^n)
+    steps for n source and m target atoms, and the report, least witnesses
+    included, is the walk's over all element pairs (tests/test_oracles.py
+    keeps that walk as oracle_check_morphism).  One pass per source atom
+    builds the subset joins of the table (PAL6 reads them at the extension's
+    inner parts), the superset joins of what its values miss (PAL3 reads them
+    at R(a)) and the target atoms each source atom moves (PAL2).  PAL4 is a
+    greedy search over the bounded images, from the generator's highest atom
+    down; only the least failing element of an axiom is walked to name the
+    rest of its witness.
     """
     if kind not in MORPHISM_KINDS:
         raise StructureError(f"unknown morphism kind {kind!r}; expected one of {MORPHISM_KINDS}")
@@ -79,130 +84,86 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
     if kind == "DVAL":
         src, tgt = nca_as_lca(src.contact), nca_as_lca(tgt.contact)
     A, B = src.algebra, tgt.algebra
-    table = phi.table
+    table, top, size = list(phi.table), A.top, A.size
     src_gen, tgt_gen = src.ideal.generator, tgt.ideal.generator
-    src_bounded = [a for a in A.elements() if a | src_gen == src_gen]
-    if _preserves_meets(table, A.atom_count, B.atom_count):
-        found = _monotone_witnesses(src, tgt, table, src_bounded)
-    else:
-        found = _walked_witnesses(src, tgt, table, src_bounded)
-
+    bounded = [a for a in range(size) if a | src_gen == src_gen]
+    found = []
     if table[0] != 0:
-        found["PAL1"] = Violation("PAL1", (B.names_of(table[0]),))
-    for a in src_bounded:
-        if table[a] | tgt_gen != tgt_gen:
-            found["PAL5"] = Violation("PAL5", (A.names_of(a),))
+        found.append(Violation("PAL1", (B.names_of(table[0]),)))
+
+    # One pass per source atom over the pairs (a, a | bit) builds three
+    # tables: joins[c], the join of table[b] over every b below c; gaps[c],
+    # the join of what table[b] misses over every b above c; and moves[j],
+    # the target atoms whose holding changes when atom j is added.
+    joins, gaps, moves = table[:], [B.top ^ v for v in table], []
+    for j in range(A.atom_count):
+        bit, moved = 1 << j, 0
+        for low in range(0, size, bit << 1):
+            for a in range(low, low | bit):
+                moved |= table[a] ^ table[a | bit]
+                joins[a | bit] |= joins[a]
+                gaps[a] |= gaps[a | bit]
+        moves.append(moved)
+
+    # PAL2: some b fails for a when an atom outside a moves a target atom of
+    # table[a].  The only other way for b to fail is that some c below a has
+    # a value outside table[a]; an atom of a outside c then moves a target
+    # atom of table[c], so c fails the first way.  The least a with a failing
+    # b is therefore the least a of the first kind.
+    outside = atom_unions(moves)[::-1]  # entry a: the atoms moved from outside a
+    if any(map(and_, outside, table)):
+        a = next(a for a in range(size) if outside[a] & table[a])
+        b = next(b for b in range(size) if table[a & b] != table[a] & table[b])
+        found.append(Violation("PAL2", (A.names_of(a), A.names_of(b))))
+
+    # PAL3: a is well inside b exactly when R(a) lies below b, and the
+    # complement of table[top ^ a] is well inside table[b] exactly when
+    # table[b] holds all that the complement touches; some b above R(a)
+    # fails exactly when gaps[R(a)] meets what it touches
+    reach, eta = src.contact.reach_table(), tgt.contact
+    for a in bounded:
+        touched, least = B.top ^ eta.inner(table[top ^ a]), reach[a]
+        if touched & gaps[least]:
+            rest, extra = top ^ least, 0
+            while touched | table[least | extra] == table[least | extra]:  # R(a) and up
+                extra = extra - rest & rest
+            found.append(Violation("PAL3", (A.names_of(a), A.names_of(least | extra))))
             break
+
+    # PAL4: the least bounded target element below no bounded image.  It
+    # exists exactly when no image holds the whole generator, and it holds
+    # atom t exactly when the atoms it holds above t, with every generator
+    # atom below t, lie below some image.
+    images = {table[a] & tgt_gen for a in bounded}
+    if tgt_gen not in images:
+        uncovered = 0
+        for t in reversed(B.atoms_of(tgt_gen)):
+            rest = uncovered | tgt_gen & (1 << t) - 1
+            if any(rest | image == image for image in images):
+                uncovered |= 1 << t
+        found.append(Violation("PAL4", (B.names_of(uncovered),)))
+
+    for a in bounded:
+        if table[a] | tgt_gen != tgt_gen:
+            found.append(Violation("PAL5", (A.names_of(a),)))
+            break
+
+    lower = _lower_joins(src, joins)
+    if lower != table:
+        a = next(a for a, sup in enumerate(lower) if sup != table[a])
+        found.append(Violation("PAL6", (A.names_of(a),)))
 
     subject = "PAL axioms" if kind == "PAL" else "DVAL axioms (improper-ideal reading)"
-    return Report(subject, tuple(found[axiom] for axiom in sorted(found)))
+    return Report(subject, tuple(found))
 
 
-def _preserves_meets(table: tuple[int, ...], n: int, m: int) -> bool:
-    """PAL2, decided per target atom: does table[a & b] equal table[a] & table[b]?
-
-    Write U_t for the source elements whose image holds target atom t.  The
-    table preserves meets exactly when every U_t is empty or a filter, that
-    is, the elements above m_t, the meet of U_t.  U_t always lies above m_t,
-    so it is that filter exactly when it has as many elements, 2^(n - |m_t|).
-    """
-    for t in range(m):
-        holders = [a for a, image in enumerate(table) if image >> t & 1]
-        if holders and len(holders) << reduce(and_, holders).bit_count() != 1 << n:
-            return False
-    return True
-
-
-def _monotone_witnesses(src: LocalContactAlgebra, tgt: LocalContactAlgebra,
-                        table: tuple[int, ...], src_bounded: list[int]) -> dict[str, Violation]:
-    """The least witnesses of PAL3, PAL4 and PAL6 for a meet-preserving table.
-
-    Such a table is monotone.  PAL3: a is well inside b exactly when R(a),
-    the join of the source rows of a's atoms, lies below b; the target inner
-    part of table[b] grows with b, so if any b fails for a, then R(a) fails,
-    and it is the least such b.  PAL4: over the bounded a, table[a] is
-    largest at the source generator, so the least bounded b below no value
-    is the lowest target atom of the generator outside that image.  PAL6: the
-    join of table[b] over the b well inside a in the extension is the value
-    at the largest of them, inner(a).
-    """
-    A, B = src.algebra, tgt.algebra
-    rows, eta = src.contact.rows, tgt.contact
-    found = {}
-    for a in src_bounded:
-        least = atom_join(rows, a)
-        inner = eta.inner(table[least])
-        if B.top ^ table[A.top ^ a] | inner != inner:
-            found["PAL3"] = Violation("PAL3", (A.names_of(a), A.names_of(least)))
-            break
-
-    missing = tgt.ideal.generator & ~table[src.ideal.generator]
-    if missing:
-        found["PAL4"] = Violation("PAL4", (B.names_of(missing & -missing),))
-
-    ext = alexandroff_extension(src)
-    for a in A.elements():
-        if table[ext.inner(a)] != table[a]:
-            found["PAL6"] = Violation("PAL6", (A.names_of(a),))
-            break
-    return found
-
-
-def _walked_witnesses(src: LocalContactAlgebra, tgt: LocalContactAlgebra,
-                      table: tuple[int, ...], src_bounded: list[int]) -> dict[str, Violation]:
-    """The least witnesses of PAL2, PAL3, PAL4 and PAL6 for any table: PAL2
-    and PAL3 by walking the 4^n element pairs, PAL6 from the lower joins."""
-    A, B = src.algebra, tgt.algebra
-    rho_inner = _inner_table(src.contact)
-    eta_inner = _inner_table(tgt.contact)
-    found = {}
-
-    done = False
-    for a in A.elements():
-        if done:
-            break
-        for b in A.elements():
-            if table[a & b] != table[a] & table[b]:
-                found["PAL2"] = Violation("PAL2", (A.names_of(a), A.names_of(b)))
-                done = True
-                break
-
-    done = False
-    for a in src_bounded:
-        if done:
-            break
-        value = B.complement(table[A.complement(a)])
-        for b in A.elements():
-            if (a | rho_inner[b] == rho_inner[b]
-                    and value | eta_inner[table[b]] != eta_inner[table[b]]):
-                found["PAL3"] = Violation("PAL3", (A.names_of(a), A.names_of(b)))
-                done = True
-                break
-
-    for b in B.elements():
-        if tgt.bounded(b) and not any(b | table[a] == table[a] for a in src_bounded):
-            found["PAL4"] = Violation("PAL4", (B.names_of(b),))
-            break
-
-    for a, sup in zip(A.elements(), _lower_joins(src, table)):
-        if sup != table[a]:
-            found["PAL6"] = Violation("PAL6", (A.names_of(a),))
-            break
-    return found
-
-
-def _inner_table(relation: ContactRelation) -> list[int]:
-    """relation.inner(c) for every c: b is well inside c iff b lies below entry c."""
-    return [relation.inner(c) for c in relation.algebra.elements()]
-
-
-def _lower_joins(structure: LocalContactAlgebra, table: tuple[int, ...]) -> list[int]:
+def _lower_joins(structure: LocalContactAlgebra, joins: list[int]) -> list[int]:
     """For each a ascending, the join of table[b] over the b well inside a in
-    the Alexandroff extension of the structure: those b are exactly the
-    elements below the extension's inner(a), so it is entry inner(a) of
-    subset_joins(table), for every table."""
-    joins = subset_joins(table)
-    return [joins[inner] for inner in _inner_table(alexandroff_extension(structure))]
+    the Alexandroff extension of the structure, given joins =
+    subset_joins(table): those b are exactly the elements below the
+    extension's inner(a), so it is entry inner(a) of joins, for every table."""
+    top = len(joins) - 1
+    return [joins[top ^ r] for r in reversed(alexandroff_extension(structure).reach_table())]
 
 
 def regularize(phi: AlgebraMorphism) -> AlgebraMorphism:
@@ -212,7 +173,8 @@ def regularize(phi: AlgebraMorphism) -> AlgebraMorphism:
     source.  On meet-preserving maps this is idempotent and forces the
     supremum axiom.
     """
-    return AlgebraMorphism(phi.source, phi.target, tuple(_lower_joins(phi.source, phi.table)))
+    lower = _lower_joins(phi.source, subset_joins(phi.table))
+    return AlgebraMorphism(phi.source, phi.target, tuple(lower))
 
 
 def compose(second: AlgebraMorphism, first: AlgebraMorphism) -> AlgebraMorphism:

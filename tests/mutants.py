@@ -41,8 +41,12 @@ class Mutant(NamedTuple):
 
 
 _ORACLES = "tests/test_oracles.py"
-_SEEDED = (f"{_ORACLES}::TestMorphismAxiomsPerAtom"
-           "::test_seeded_filter_tables_on_three_and_four_atoms")
+_MORPHISM_TABLES = tuple(
+    f"{_ORACLES}::TestMorphismAxiomsPerAtom::test_{tables}" for tables in (
+        "seeded_filter_tables_on_three_and_four_atoms",
+        "seeded_arbitrary_tables_on_three_and_four_atoms",
+        "large_pair_tables_on_four_and_five_atoms",
+        "every_table_up_to_two_atoms"))
 _ROWS = (f"{_ORACLES}::TestAxiomRows::test_reports_equal_the_element_scan",
          f"{_ORACLES}::TestAxiomRows::test_witnesses_equal_the_element_scan_on_seeded_relations")
 _BC = (f"{_ORACLES}::TestBoundednessRows::test_reports_equal_the_element_scan",)
@@ -78,30 +82,54 @@ MUTANTS = (
            "table.append(table[a ^ low] | values[low.bit_length() - 1])",
            "table.append(table[a ^ low] | values[a.bit_length() - 1])",
            ("tests/test_boolalg.py::test_atom_unions_equal_atom_join_on_seeded_values",)),
+    Mutant("pal2-moved-from-inside", f"{PACKAGE}/duality.py",
+           "outside = atom_unions(moves)[::-1]",
+           "outside = atom_unions(moves)",
+           _MORPHISM_TABLES),
+    Mutant("pal2-ignores-the-value-at-a", f"{PACKAGE}/duality.py",
+           "a = next(a for a in range(size) if outside[a] & table[a])",
+           "a = next(a for a in range(size) if outside[a])",
+           _MORPHISM_TABLES),
+    Mutant("pal2-moves-only-dropped-atoms", f"{PACKAGE}/duality.py",
+           "moved |= table[a] ^ table[a | bit]",
+           "moved |= table[a] & ~table[a | bit]",
+           _MORPHISM_TABLES),
+    Mutant("pal2-witness-b-from-the-top", f"{PACKAGE}/duality.py",
+           "b = next(b for b in range(size) if table[a & b] != table[a] & table[b])",
+           "b = next(b for b in reversed(range(size)) if table[a & b] != table[a] & table[b])",
+           _MORPHISM_TABLES),
+    Mutant("pal3-supersets-read-as-one-entry", f"{PACKAGE}/duality.py",
+           "gaps[a] |= gaps[a | bit]",
+           "gaps[a] |= gaps[a]",
+           _MORPHISM_TABLES),
     Mutant("pal3-witness-at-top", f"{PACKAGE}/duality.py",
-           'Violation("PAL3", (A.names_of(a), A.names_of(least)))',
+           'Violation("PAL3", (A.names_of(a), A.names_of(least | extra)))',
            'Violation("PAL3", (A.names_of(a), A.names_of(A.top)))',
-           (_SEEDED,)),
+           _MORPHISM_TABLES),
     Mutant("pal3-witness-one-atom-above", f"{PACKAGE}/duality.py",
-           'Violation("PAL3", (A.names_of(a), A.names_of(least)))',
-           'Violation("PAL3", (A.names_of(a), A.names_of(least | ~least & least + 1 & A.top)))',
-           (_SEEDED,)),
+           'Violation("PAL3", (A.names_of(a), A.names_of(least | extra)))',
+           'Violation("PAL3", (A.names_of(a), A.names_of(least | extra | rest & -rest)))',
+           _MORPHISM_TABLES),
+    Mutant("pal3-supersets-walked-down", f"{PACKAGE}/duality.py",
+           "extra = extra - rest & rest",
+           "extra = extra - 1 & rest",
+           _MORPHISM_TABLES),
     Mutant("pal4-at-highest-missing-atom", f"{PACKAGE}/duality.py",
-           'Violation("PAL4", (B.names_of(missing & -missing),))',
-           'Violation("PAL4", (B.names_of(1 << missing.bit_length() - 1),))',
-           (_SEEDED,)),
+           'Violation("PAL4", (B.names_of(uncovered),))',
+           'Violation("PAL4", (B.names_of(1 << uncovered.bit_length() - 1),))',
+           _MORPHISM_TABLES),
+    Mutant("pal4-covered-by-an-overlapping-image", f"{PACKAGE}/duality.py",
+           "if any(rest | image == image for image in images):",
+           "if any(rest & image for image in images):",
+           _MORPHISM_TABLES),
+    Mutant("pal6-reads-the-table-at-inner", f"{PACKAGE}/duality.py",
+           "joins[a | bit] |= joins[a]",
+           "joins[a | bit] |= 0",
+           _MORPHISM_TABLES),
     Mutant("pal6-from-plain-contact", f"{PACKAGE}/duality.py",
-           "if table[ext.inner(a)] != table[a]:",
-           "if table[src.contact.inner(a)] != table[a]:",
-           (_SEEDED,)),
-    Mutant("filter-test-without-count", f"{PACKAGE}/duality.py",
-           "if holders and len(holders) << reduce(and_, holders).bit_count() != 1 << n:",
-           "if holders and False:",
-           (_SEEDED,)),
-    Mutant("filter-test-meet-is-a-holder", f"{PACKAGE}/duality.py",
-           "if holders and len(holders) << reduce(and_, holders).bit_count() != 1 << n:",
-           "if holders and reduce(and_, holders) not in holders:",
-           (_SEEDED,)),
+           "reversed(alexandroff_extension(structure).reach_table())",
+           "reversed(structure.contact.reach_table())",
+           _MORPHISM_TABLES),
     Mutant("c5-witness-whole-difference", f"{PACKAGE}/contact.py",
            'return _witness(alg, "C5", 1 << i, outside & -outside)',
            'return _witness(alg, "C5", 1 << i, outside)',

@@ -688,6 +688,16 @@ def homomorphism_table(n, pick):
     return atom_unions([sum(1 << j for j, i in enumerate(pick) if i == k) for k in range(n)])
 
 
+def large_pair_table(source, target):
+    """The identity on every atom but the highest, whose target atom is held
+    exactly by top and by top less a0 or a1: PAL2 fails only at the pair
+    (top less a1, top less a0), so no early exit on a small element finds it."""
+    top, high = source.algebra.top, target.algebra.top + 1 >> 1
+    return AlgebraMorphism(source, target, tuple(
+        a & high - 1 | (high if a in (top, top ^ 1, top ^ 2) else 0)
+        for a in source.algebra.elements()))
+
+
 class TestClosedEmbeddingAtTheCap:
     """Closed embeddings are decided in closed form, so the 16-atom cap bounds
     their time; the walk over element pairs took 3.3 s at 10 atoms and 12.8 s
@@ -725,6 +735,31 @@ class TestClosedEmbeddingAtTheCap:
             path.__dict__["bc_report"] = Report("BC axioms", ())  # a passing report, forged
             with pytest.raises(IntegrityError, match="not its own atom"):
                 check_closed_embedding(phi)
+
+
+class TestCheckMorphismAtScale:
+    """Every table is decided by table passes in O((n + m) * 2^n) steps; the
+    walk over element pairs that named the witnesses of a table failing PAL2
+    took 1.0 s at 12 atoms and 4.0 s at 13."""
+
+    def timed(self, phi):
+        start = time.perf_counter()
+        report = check_morphism(phi)
+        assert time.perf_counter() - start < 5.0
+        return [(v.axiom, v.witness) for v in report.violations]
+
+    def test_large_pair_table_at_sixteen_atoms(self):
+        s = wide_overlap(16)
+        top = s.algebra.top
+        found = self.timed(large_pair_table(s, s))
+        assert found[0] == ("PAL2", (s.algebra.names_of(top ^ 2), s.algebra.names_of(top ^ 1)))
+
+    def test_identity_and_all_to_top_over_sixteen_atoms(self):
+        # 17 atoms: over the width up to which ContactRelation keeps a reach table
+        s = wide_overlap(17)
+        assert self.timed(identity_morphism(s)) == []
+        all_to_top = AlgebraMorphism(s, s, (0,) + (s.algebra.top,) * s.algebra.top)
+        assert self.timed(all_to_top) == [("PAL2", (("a0",), ("a1",)))]
 
 
 class TestRoundTrips:

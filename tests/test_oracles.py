@@ -98,7 +98,8 @@ from contact_duality.spaces import (
     space_predicates,
     trace_law_violation,
 )
-from test_duality import boolean_homomorphisms, improper_overlap, morphism_candidates
+from test_duality import (boolean_homomorphisms, improper_overlap, large_pair_table,
+                          morphism_candidates)
 
 
 # oracles -------------------------------------------------------------------
@@ -865,11 +866,28 @@ def filter_table(source, target, least):
                  for a in source.algebra.elements())
 
 
-def one_entry_changes(phi):
-    """phi with any one entry of its table replaced by another value."""
-    B = phi.target.algebra
-    return [AlgebraMorphism(phi.source, phi.target, phi.table[:a] + (v,) + phi.table[a + 1:])
-            for a in phi.source.algebra.elements() for v in B.elements() if v != phi.table[a]]
+def every_table(source, target):
+    """Every table from source to target, in lexicographic order."""
+    return [AlgebraMorphism(source, target, table) for table in
+            itertools.product(target.algebra.elements(), repeat=source.algebra.size)]
+
+
+def seeded_arbitrary_tables(seed=2101):
+    """Tables between seeded 3- and 4-atom structures: uniform random tables,
+    and atomwise joins with one or two seeded bits flipped, which break PAL2
+    at an element of any size."""
+    rng = random.Random(seed)
+    pool = ideal_structures(3) + rng.sample(ideal_structures(4), 60)
+    out = []
+    for _ in range(300):
+        s, t = rng.choice(pool), rng.choice(pool)
+        A, B = s.algebra, t.algebra
+        out.append(AlgebraMorphism(s, t, tuple(rng.randrange(B.size) for _ in A.elements())))
+        table = list(atom_unions([rng.randrange(B.size) for _ in range(A.atom_count)]))
+        for _ in range(rng.randrange(1, 3)):
+            table[rng.randrange(A.size)] ^= 1 << rng.randrange(B.atom_count)
+        out.append(AlgebraMorphism(s, t, tuple(table)))
+    return out
 
 
 def seeded_filter_tables(seed=1907):
@@ -904,8 +922,8 @@ def report_axioms(phis):
 
 
 class TestMorphismAxiomsPerAtom:
-    """check_morphism decides a meet-preserving table per target atom and
-    walks elements only when PAL2 fails; both must give the oracle's report."""
+    """check_morphism decides every table by the same table passes; they
+    must give the oracle's report, least witnesses included."""
 
     STRUCTURES = structures_up_to(2)
 
@@ -923,15 +941,32 @@ class TestMorphismAxiomsPerAtom:
         assert len(phis) == 1836
         assert report_axioms(phis) == {"PAL1", "PAL3", "PAL4", "PAL5", "PAL6"}
 
-    def test_every_table_one_entry_away(self):
-        phis = [changed for phi in self.meet_preserving() for changed in one_entry_changes(phi)]
-        assert len(phis) == 20408
+    def test_every_table_up_to_two_atoms(self):
+        phis = [phi for s in self.STRUCTURES for t in self.STRUCTURES for phi in every_table(s, t)]
+        assert len(phis) == 16912
         assert report_axioms(phis) == {"PAL1", "PAL2", "PAL3", "PAL4", "PAL5", "PAL6"}
 
     def test_seeded_filter_tables_on_three_and_four_atoms(self):
         phis = seeded_filter_tables()
         assert {phi.source.algebra.atom_count for phi in phis} == {3, 4}
         assert report_axioms(phis) == {"PAL1", "PAL2", "PAL3", "PAL4", "PAL5", "PAL6"}
+
+    def test_seeded_arbitrary_tables_on_three_and_four_atoms(self):
+        phis = seeded_arbitrary_tables()
+        assert {phi.source.algebra.atom_count for phi in phis} == {3, 4}
+        assert report_axioms(phis) == {"PAL1", "PAL2", "PAL3", "PAL4", "PAL5", "PAL6"}
+
+    def test_large_pair_tables_on_four_and_five_atoms(self):
+        rng = random.Random(2102)
+        for n in (4, 5):
+            pool = rng.sample(ideal_structures(n), 40)
+            phis = [large_pair_table(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
+            report_axioms(phis)
+            top = (1 << n) - 1
+            for phi in phis:
+                names = phi.source.algebra.names_of
+                assert check_morphism(phi).violations[0] == \
+                    Violation("PAL2", (names(top ^ 2), names(top ^ 1)))
 
 
 # axiom checks on atom rows ----------------------------------------------------
