@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .boolalg import MAX_ATOMS_ENV
-from .clusters import bounded_clusters, enumerate_clusters
+from .clusters import bounded_clusters
 from .contact import check_axioms
 from .duality import (
     check_morphism,
@@ -117,18 +117,10 @@ def cmd_clusters(args) -> int:
     if args.format == "dot":
         sys.stdout.write(jsonio.contact_to_dot(structure.contact))
         return EXIT_OK
-    if structure.improper:
-        found = enumerate_clusters(structure.contact)
-        infinity = None
-    else:
-        found = bounded_clusters(structure)
-        infinity = infinity_cluster(structure, check=False)
+    found = bounded_clusters(structure)
+    infinity = infinity_cluster(structure, check=False)
     payload = jsonio.clusters_to_json(found, structure, infinity)
-    lines = [
-        "cluster {" + ",".join(c.support_names()) + "}"
-        + ("" if entry["bounded"] else " (unbounded)")
-        for c, entry in zip(found, payload["clusters"])
-    ]
+    lines = ["cluster {" + ",".join(c.support_names()) + "}" for c in found]
     if infinity is not None:
         lines.append("sigma_infinity {" + ",".join(infinity.support_names()) + "}")
     _emit(args, payload, "\n".join(lines) if lines else "no clusters")

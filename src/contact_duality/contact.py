@@ -101,10 +101,6 @@ class ContactRelation(ContactQuery):
         reach = self._reach
         return top ^ (atom_join(self.rows, outside) if reach is None else reach[outside])
 
-    def way_below(self, a: int, b: int) -> bool:
-        inner = self.inner(b)
-        return self.algebra.check_element(a) | inner == inner
-
     def atom_pairs(self) -> list[tuple[int, int]]:
         """Strictly-above-diagonal atom pairs in contact, ascending."""
         n = self.algebra.atom_count

@@ -21,7 +21,7 @@ from operator import and_
 from .boolalg import atom_unions, subset_joins
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .errors import IntegrityError, Refusal, StructureError
-from .localcontact import LocalContactAlgebra, alexandroff_extension, nca_as_lca
+from .localcontact import LocalContactAlgebra, alexandroff_extension, infinity_cluster, nca_as_lca
 from .report import Report, Violation
 from .spaces import (
     FiniteSpace,
@@ -214,37 +214,27 @@ class DualSpace:
         return {c.support: i for i, c in enumerate(self.clusters)}
 
 
-def dual_space(structure: LocalContactAlgebra, *, validate: bool = True) -> DualSpace:
+def dual_space(structure: LocalContactAlgebra) -> DualSpace:
     """Build the dual space from clusters of the Alexandroff extension.
 
-    With a proper ideal only the bounded clusters are points and the cluster
-    of unbounded elements is set aside; with the improper ideal every cluster
-    is a point.  validate=False skips the boundedness-axiom gate so that the
-    construction can be explored on structures that fail it.
+    The points are the bounded clusters, those meeting the ideal generator:
+    every cluster under the improper ideal.  A structure failing the
+    boundedness axioms is refused; code exploring such structures reads
+    LocalContactAlgebra.dual, the same object without the gate.
 
     The dual space and the BC report are built once per structure object and
     kept on it (LocalContactAlgebra.dual, .bc_report): repeated calls return
     the same DualSpace, and a structure failing the axioms is refused on every
-    validated call, whatever unvalidated calls came before.
+    call, whatever reads of .dual came before.
     """
-    if validate and not structure.bc_report.ok:
+    if not structure.bc_report.ok:
         raise Refusal("dual space requires the boundedness axioms", structure.bc_report)
     return structure.dual
 
 
 def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
-    alg = structure.algebra
-    extension = alexandroff_extension(structure)
-    everything = grill_clusters(extension)
-    if structure.improper:
-        case = "compact"
-        points = everything
-        infinity = None
-    else:
-        case = "local"
-        gen = structure.ideal.generator
-        points = [c for c in everything if c.support & gen]
-        infinity = Cluster(extension, alg.complement(gen))
+    alg, gen = structure.algebra, structure.ideal.generator
+    points = [c for c in grill_clusters(alexandroff_extension(structure)) if c.support & gen]
     if not points:
         raise StructureError("dual space has no points; the structure is degenerate here")
 
@@ -259,7 +249,9 @@ def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
     nbhd = [sum(1 << j for j, d in enumerate(points) if d.support & ~c.support == 0)
             for c in points]
     space = FiniteSpace(names, tuple(nbhd))
-    return DualSpace(structure, space, tuple(points), regions, case, infinity)
+    return DualSpace(structure, space, tuple(points), regions,
+                     "compact" if structure.improper else "local",
+                     infinity_cluster(structure, check=False))
 
 
 def verify_double_dual(structure: LocalContactAlgebra, dual: DualSpace) -> Report:
@@ -294,11 +286,9 @@ def verify_double_dual(structure: LocalContactAlgebra, dual: DualSpace) -> Repor
         notes.append("bounded correspondence holds identically: "
                      "finite dual spaces are compact, so compact regular closed "
                      "sets are all regular closed sets")
-    else:
-        for a in alg.elements():
-            if not structure.bounded(a):
-                violations.append(Violation("bounded-correspondence", (alg.names_of(a),)))
-                break
+    else:  # the least unbounded element: the lowest atom outside the generator
+        outside = alg.top ^ structure.ideal.generator
+        violations.append(Violation("bounded-correspondence", (alg.names_of(outside & -outside),)))
 
     return Report("double dual isomorphism", tuple(violations), tuple(notes))
 
@@ -408,8 +398,8 @@ def dual_of_morphism(phi: AlgebraMorphism) -> SpaceMap:
     # a is traced when the cluster holds the complement of phi(b) for every b
     # well inside the complement of a.  PAL2 has passed, so phi is monotone
     # and those complements all lie above the one at the largest such b,
-    # inner(complement of a); a cluster is up-closed, so that one decides.
-    least = [B.complement(phi.table[ext_src.inner(A.complement(a))]) for a in A.elements()]
+    # the complement of R(a); a cluster is up-closed, so that one decides.
+    least = [B.top ^ phi.table[A.top ^ r] for r in ext_src.reach_table()]
 
     atoms, elements, index = range(A.atom_count), range(A.size), src_dual.point_index
     assignment = []

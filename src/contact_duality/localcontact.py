@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .boolalg import FiniteBooleanAlgebra
+from .boolalg import FiniteBooleanAlgebra, atom_join
 from .contact import (ContactRelation, check_axioms, interpolation_gap, isolation_gap,
                       overlap_contact)
 from .errors import Refusal, StructureError
@@ -155,18 +155,27 @@ def infinity_cluster(structure: LocalContactAlgebra, *, check: bool = True):
     unbounded elements are exactly those meeting the generator's complement,
     so their up-set is supported on the co-generator atoms.  With check=True
     the cluster conditions are decided on the Alexandroff extension's rows,
-    and a Refusal carries check_cluster's report if they fail; structures
-    that violate the boundedness axioms genuinely can fail here.
+    and a Refusal carries check_cluster's report, read off the rows too, if
+    they fail; structures that violate the boundedness axioms can fail here.
     """
-    from .clusters import Cluster, check_cluster, supports_cluster
+    from .clusters import Cluster, supports_cluster
 
     if structure.improper:
         return None
-    support = structure.algebra.complement(structure.ideal.generator)
-    cluster = Cluster(alexandroff_extension(structure), support)
-    if check and not supports_cluster(cluster.relation.rows, support):
+    alg, gen = structure.algebra, structure.ideal.generator
+    cluster = Cluster(alexandroff_extension(structure), alg.top ^ gen)
+    rows, support = cluster.relation.rows, cluster.support
+    if check and not supports_cluster(rows, support):
+        # The support is a clique of the extension and up-closures pass K2,
+        # so K3 fails at the least bounded a whose rows reach the support.
+        # Those a are closed upwards: drop generator atoms, highest first.
+        least = gen
+        for i in reversed(alg.atoms_of(gen)):
+            if atom_join(rows, least ^ 1 << i) & support == support:
+                least ^= 1 << i
+        k3 = Violation("K3", (alg.names_of(least),))
         raise Refusal("set of unbounded elements is not a cluster here",
-                      check_cluster(cluster.relation, cluster.members()))
+                      Report("cluster conditions", (k3,)))
     return cluster
 
 

@@ -21,8 +21,8 @@ else:
 def cluster_walks(monkeypatch):
     """The member lists of every check_cluster call the package makes.
 
-    localcontact imports check_cluster from clusters when it is called, so
-    patching the clusters and duality bindings covers every caller.
+    duality is the one module that calls it, so patching the clusters and
+    duality bindings covers every caller.
     """
     import contact_duality.clusters as clusters
     import contact_duality.duality as duality

@@ -68,6 +68,12 @@ _SUBSET_JOINS = tuple(
     for tables in ("every_table_up_to_two_atoms", "seeded_tables"))
 _EMBEDDINGS = (f"{_ORACLES}::TestMorphismCalculus"
                "::test_closed_embedding_of_every_small_boolean_homomorphism",)
+_DUAL_POINTS = (f"{_ORACLES}::TestDualSpacePoints"
+                "::test_points_case_and_infinity_equal_the_element_definitions",)
+_INFINITY = (f"{_ORACLES}::TestInfinityClusterRows"
+             "::test_refusal_equals_the_cluster_walk_up_to_four_atoms",
+             "tests/test_localcontact.py::TestInfinityCluster"
+             "::test_row_test_decides_and_the_walk_only_names_the_witness")
 
 MUTANTS = (
     Mutant("inner-reads-reach-of-c", f"{PACKAGE}/contact.py",
@@ -338,6 +344,31 @@ MUTANTS = (
            "except UnicodeDecodeError as exc:",
            "except UnicodeEncodeError as exc:",
            ("tests/test_cli.py::TestValidate::test_non_utf8_file_exit_two",)),
+    Mutant("dual-space-keeps-every-cluster", f"{PACKAGE}/duality.py",
+           "grill_clusters(alexandroff_extension(structure)) if c.support & gen]",
+           "grill_clusters(alexandroff_extension(structure)) if c.support]",
+           _DUAL_POINTS + ("tests/test_duality.py::TestDualSpace"
+                           "::test_local_case_drops_the_infinity_cluster",)),
+    Mutant("dual-space-labels-by-the-bc-report", f"{PACKAGE}/duality.py",
+           '"compact" if structure.improper else "local"',
+           '"compact" if structure.bc_report.ok else "local"',
+           _DUAL_POINTS),
+    Mutant("bounded-correspondence-at-every-unbounded-atom", f"{PACKAGE}/duality.py",
+           "alg.names_of(outside & -outside)",
+           "alg.names_of(outside)",
+           _DUAL_POINTS),
+    Mutant("infinity-refusal-drops-the-lowest-atom-first", f"{PACKAGE}/localcontact.py",
+           "for i in reversed(alg.atoms_of(gen)):",
+           "for i in alg.atoms_of(gen):",
+           _INFINITY),
+    Mutant("infinity-refusal-reaches-some-support-atom", f"{PACKAGE}/localcontact.py",
+           "if atom_join(rows, least ^ 1 << i) & support == support:",
+           "if atom_join(rows, least ^ 1 << i) & support:",
+           _INFINITY),
+    Mutant("dual-of-morphism-traces-through-the-reach", f"{PACKAGE}/duality.py",
+           "least = [B.top ^ phi.table[A.top ^ r] for r",
+           "least = [B.top ^ phi.table[r] for r",
+           (f"{_ORACLES}::TestMorphismCalculus::test_dual_of_morphism",)),
 )
 
 

@@ -125,7 +125,7 @@ class TestDualSpace:
         for n in (1, 2, 3):
             s = improper_overlap(n)
             assert dual_space(s) is dual_space(s)
-            assert dual_space(s, validate=False) is dual_space(s)
+            assert s.dual is dual_space(s)
 
     def test_refusal_repeats_and_survives_an_unvalidated_call(self):
         s = proper_overlap(2, 0b01)
@@ -133,11 +133,11 @@ class TestDualSpace:
             with pytest.raises(Refusal) as raised:
                 dual_space(s)
             assert "BC3" in raised.value.report.render()
-        assert dual_space(s, validate=False).case == "local"
+        assert s.dual.case == "local"
         with pytest.raises(Refusal):
             dual_space(s)
         fresh = proper_overlap(2, 0b01)
-        dual_space(fresh, validate=False)
+        assert fresh.dual.case == "local"
         with pytest.raises(Refusal):
             dual_space(fresh)
 
@@ -155,7 +155,7 @@ class TestDualSpace:
 
     def test_local_case_drops_the_infinity_cluster(self):
         s = proper_overlap(2, 0b01)
-        dual = dual_space(s, validate=False)
+        dual = s.dual
         assert dual.case == "local"
         assert dual.space.point_count == 1
         assert dual.infinity is not None
@@ -165,7 +165,7 @@ class TestDualSpace:
 
     def test_local_case_region_table_is_not_injective(self):
         s = proper_overlap(2, 0b01)
-        report = verify_double_dual(s, dual_space(s, validate=False))
+        report = verify_double_dual(s, s.dual)
         assert not report.ok
 
     def test_dual_topology_closed_sets_are_the_region_lattice(self):

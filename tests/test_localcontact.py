@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.clusters import bounded_clusters, check_cluster
 from contact_duality.contact import (
+    ContactRelation,
     atom_restriction,
     check_axioms,
     overlap_contact,
@@ -168,9 +171,24 @@ class TestInfinityCluster:
                     with pytest.raises(Refusal) as caught:
                         infinity_cluster(s)
                     assert caught.value.report == expected
-                    assert cluster_walks == [list(sigma.members())]
+                    assert cluster_walks == []
                 outcomes.add(expected.ok)
         assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_refusal_at_the_caps_reads_the_rows(self, n, cluster_walks):
+        # a path whose last atom is unbounded and touches the one before:
+        # that atom is the least bounded element reaching the support
+        alg = FiniteBooleanAlgebra(tuple(f"a{i}" for i in range(n)))
+        rows = tuple((7 << i >> 1) & alg.top for i in range(n))
+        s = LocalContactAlgebra(ContactRelation(alg, rows), BoundedIdeal(alg, alg.top >> 1))
+        start = time.perf_counter()
+        with pytest.raises(Refusal) as caught:
+            infinity_cluster(s)
+        assert time.perf_counter() - start < 1.0
+        assert [(v.axiom, v.witness) for v in caught.value.report.violations] == \
+            [("K3", ((f"a{n - 2}",),))]
+        assert cluster_walks == []
 
     def test_cluster_condition_oracle_on_broad_corpus(self):
         # Maximality of the unbounded set is equivalent to: no nonzero bounded

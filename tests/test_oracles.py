@@ -65,6 +65,7 @@ from contact_duality.duality import (
     dual_of_morphism,
     dual_space,
     regularize,
+    verify_double_dual,
 )
 from contact_duality.errors import IntegrityError, Refusal, StructureError
 from contact_duality.localcontact import (
@@ -72,6 +73,7 @@ from contact_duality.localcontact import (
     LocalContactAlgebra,
     alexandroff_extension,
     check_lca_axioms,
+    infinity_cluster,
 )
 from contact_duality.regions import (
     NEG_INF,
@@ -790,16 +792,17 @@ class TestExtensionRows:
             expected = _join(1 << i for i in range(17) if path[i] & ~c == 0)
             assert rel.inner(c) == expected
             for b in (1, 1 << 1, 1 << 8, 0b110):
-                assert rel.way_below(b, c) == wb(rel, b, c)
+                assert (b | rel.inner(c) == rel.inner(c)) == wb(rel, b, c)
 
     def test_well_inside_checks_its_arguments_in_the_old_order(self):
+        # b first, then a, as the read of inner(b) did
         rel = atom_relations(2)[0]
-        for a, b in ((0, 7), (9, 1), (-1, 8)):
-            with pytest.raises(StructureError) as fast:
+        for a, b, bad in ((0, 7, 7), (9, 1, 9), (-1, 8, 8)):
+            with pytest.raises(StructureError) as raised:
                 rel.way_below(a, b)
-            with pytest.raises(StructureError) as slow:
-                wb(rel, a, b)
-            assert str(fast.value) == str(slow.value)
+            with pytest.raises(StructureError) as direct:
+                rel.algebra.check_element(bad)
+            assert str(raised.value) == str(direct.value)
 
 
 # morphism calculus ------------------------------------------------------------
@@ -1075,7 +1078,7 @@ class TestDualTopology:
         built = 0
         for s in structures_up_to(4):
             try:
-                dual = dual_space(s, validate=False)
+                dual = s.dual
             except StructureError:
                 continue  # no points: every cluster is the one at infinity
             assert dual.space.min_nbhd == \
@@ -1083,6 +1086,54 @@ class TestDualTopology:
                 (s.contact.rows, s.ideal.generator)
             built += 1
         assert built == 984
+
+
+class TestDualSpacePoints:
+    def test_points_case_and_infinity_equal_the_element_definitions(self):
+        # a point is a cluster of the extension holding a bounded element,
+        # the cluster at infinity is the set of unbounded elements, and the
+        # bounded correspondence fails first at the least unbounded element
+        built = 0
+        for s in structures_up_to(4):
+            alg, where = s.algebra, (s.contact.rows, s.ideal.generator)
+            bounded = [a for a in alg.elements() if s.bounded(a)]
+            unbounded = [a for a in alg.elements() if not s.bounded(a)]
+            points = [c.support for c in grill_clusters(alexandroff_extension(s))
+                      if any(c.contains(a) for a in bounded)]
+            if not points:
+                with pytest.raises(StructureError):
+                    s.dual
+                continue
+            dual = s.dual
+            assert [c.support for c in dual.clusters] == points, where
+            assert dual.case == ("local" if unbounded else "compact"), where
+            if unbounded:
+                assert list(dual.infinity.members()) == unbounded, where
+                witness = Violation("bounded-correspondence", (alg.names_of(unbounded[0]),))
+                assert verify_double_dual(s, dual).violations[-1] == witness, where
+            else:
+                assert dual.infinity is None, where
+                assert verify_double_dual(s, dual).notes, where
+            built += 1
+        assert built == 984
+
+
+class TestInfinityClusterRows:
+    def test_refusal_equals_the_cluster_walk_up_to_four_atoms(self):
+        refused = 0
+        for s in structures_up_to(4):
+            if s.improper:
+                continue
+            sigma = infinity_cluster(s, check=False)
+            expected = check_cluster(sigma.relation, sigma.members())
+            if expected.ok:
+                assert infinity_cluster(s) == sigma
+                continue
+            with pytest.raises(Refusal) as caught:
+                infinity_cluster(s)
+            assert caught.value.report == expected, (s.contact.rows, s.ideal.generator)
+            refused += 1
+        assert refused == 498
 
 
 # cluster enumeration ------------------------------------------------------------
