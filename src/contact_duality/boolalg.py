@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import StructureError
@@ -39,6 +38,20 @@ def atom_cap() -> int:
         return int(raw)
     except ValueError as exc:
         raise StructureError(f"{MAX_ATOMS_ENV} must be an integer, got {raw!r}") from exc
+
+
+class cached_property:
+    """functools.cached_property without the lock Python 3.11 takes on every
+    miss: the value, kept in the instance's __dict__, shadows this descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)

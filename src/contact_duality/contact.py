@@ -21,9 +21,8 @@ check_cluster still accepts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions
+from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, cached_property
 from .errors import StructureError
 from .report import Report, Violation
 

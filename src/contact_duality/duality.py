@@ -15,10 +15,9 @@ space of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import and_
 
-from .boolalg import atom_unions, subset_joins
+from .boolalg import atom_unions, cached_property, subset_joins
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension, infinity_cluster, nca_as_lca

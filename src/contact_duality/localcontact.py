@@ -15,9 +15,8 @@ object and kept on it; the gates read the kept report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .boolalg import FiniteBooleanAlgebra, atom_join
+from .boolalg import FiniteBooleanAlgebra, atom_join, cached_property
 from .contact import (ContactRelation, check_axioms, interpolation_gap, isolation_gap,
                       overlap_contact)
 from .errors import Refusal, StructureError

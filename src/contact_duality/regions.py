@@ -105,17 +105,17 @@ def endpoint_text(value: Endpoint) -> str:
     return str(value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RationalRegion:
     intervals: tuple[tuple[Endpoint, Endpoint], ...]
 
-    def __post_init__(self):
+    def __init__(self, intervals):
         # An int or a Fraction subclass endpoint is stored as a plain
         # Fraction, and an infinity as NEG_INF or POS_INF; the tuple is
         # rebuilt only when an endpoint changes.
         previous_hi = None
         changed = False
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if type(lo) is not Fraction and lo is not NEG_INF and lo is not POS_INF:
                 valid = _valid_endpoint(lo)
                 changed |= valid is not lo
@@ -130,8 +130,8 @@ class RationalRegion:
                 raise StructureError("intervals must be sorted, disjoint and non-touching")
             previous_hi = hi
         if changed:
-            object.__setattr__(self, "intervals", tuple(
-                (_valid_endpoint(lo), _valid_endpoint(hi)) for lo, hi in self.intervals))
+            intervals = tuple((_valid_endpoint(lo), _valid_endpoint(hi)) for lo, hi in intervals)
+        object.__setattr__(self, "intervals", intervals)
 
     # construction ---------------------------------------------------------
 
@@ -222,6 +222,8 @@ class RationalRegion:
     def meet(self, other: "RationalRegion") -> "RationalRegion":
         """Regularized intersection: single touching points vanish."""
         a, b = self.intervals, other.intervals
+        if not a or not b:
+            return self if not a else other
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -263,17 +265,8 @@ class RationalRegion:
                 return False
         return True
 
-    def __or__(self, other):
-        return self.join(other)
-
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __invert__(self):
-        return self.complement()
-
-    def __le__(self, other):
-        return self.le(other)
+    # bench/tracer.py counts join, meet and complement by name, so the CLI calls the names
+    __or__, __and__, __invert__, __le__ = join, meet, complement, le
 
     # contact --------------------------------------------------------------
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions
+from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, cached_property
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, nca_as_lca

@@ -52,6 +52,7 @@ _ROWS = (f"{_ORACLES}::TestAxiomRows::test_reports_equal_the_element_scan",
 _BC = (f"{_ORACLES}::TestBoundednessRows::test_reports_equal_the_element_scan",)
 _GRID = (f"{_ORACLES}::TestRegionSweeps::test_sweeps_equal_the_pairwise_scans_on_the_grid",)
 _MERGE = (f"{_ORACLES}::TestRegionSweeps::test_normal_form_of_unsorted_pairs_equals_the_full_sort",)
+_SAMPLES = (f"{_ORACLES}::TestSampledRegions::test_region_laws_samples_equal_the_oracle_draws",)
 _ORDER = (f"{_ORACLES}::TestEndpointOrder::test_before_equals_fraction_order_on_a_grid",)
 _SUPPORTS = ("tests/test_clusters.py::TestSupportsCluster"
              "::test_equals_the_checker_on_every_relation_up_to_four_atoms",)
@@ -369,6 +370,23 @@ MUTANTS = (
            "least = [B.top ^ phi.table[A.top ^ r] for r",
            "least = [B.top ^ phi.table[r] for r",
            (f"{_ORACLES}::TestMorphismCalculus::test_dual_of_morphism",)),
+    Mutant("sampler-merges-only-overlaps", f"{PACKAGE}/cli.py",
+           "if merged and merged[-1][1] >= lo:",
+           "if merged and merged[-1][1] > lo:",
+           _SAMPLES),
+    Mutant("sampler-shrinks-a-nested-span", f"{PACKAGE}/cli.py",
+           "if hi > merged[-1][1]:",
+           "if True:",
+           _SAMPLES),
+    Mutant("sampler-scale-misses-seven", f"{PACKAGE}/cli.py",
+           "_SCALE = 420",
+           "_SCALE = 60",
+           _SAMPLES),
+    Mutant("meet-empty-returns-the-other-operand", f"{PACKAGE}/regions.py",
+           "return self if not a else other",
+           "return other if not a else self",
+           ("tests/test_regions.py::TestNormalForm"
+            "::test_meet_with_an_empty_operand_returns_that_operand",)),
 )
 
 

@@ -432,6 +432,13 @@ class TestRegionVerb:
         assert err == (f"error: --samples must lie between 0 and {REGION_SAMPLE_CAP}, "
                        f"got {samples}\n")
 
+    def test_laws_at_a_tenth_of_the_cap_stay_linear(self, capsys):
+        # about 0.3 s in process; a superlinear sampler or law path would show
+        start = time.perf_counter()
+        assert run(capsys, "region", "laws", "--samples", "10000")[:2] == \
+            (0, "10000 samples, seed 1729: all laws hold\n")
+        assert time.perf_counter() - start < 2.0
+
     def test_laws_accept_zero_samples(self, capsys):
         assert run(capsys, "region", "laws", "--samples", "0")[:2] == \
             (0, "0 samples, seed 1729: all laws hold\n")

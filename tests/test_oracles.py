@@ -596,15 +596,20 @@ REGION_SWEEPS = (
 )
 
 
-def oracle_random_region(rng):
-    """The region laws sample: the same randrange calls as cli._random_region,
-    with Fraction arithmetic and the full sort and merge."""
+def oracle_random_spans(rng):
+    """The region laws draws: the same randrange calls as cli._random_region,
+    as unmerged Fraction spans."""
     pairs = []
     for _ in range(rng.randrange(0, 4)):
         lo = Fraction(rng.randrange(-24, 24), rng.randrange(1, 8))
         width = Fraction(rng.randrange(1, 24), rng.randrange(1, 8))
         pairs.append((lo, lo + width))
-    return oracle_merged(pairs)
+    return pairs
+
+
+def oracle_random_region(rng):
+    """The region laws sample, with Fraction arithmetic and the full sort and merge."""
+    return oracle_merged(oracle_random_spans(rng))
 
 
 # Connectedness and closedness of finite spaces and maps by scans over all
@@ -1334,6 +1339,24 @@ class TestSampledRegions:
                 counts.add(len(region.intervals))
             assert fast.getstate() == slow.getstate(), seed
         assert counts == {0, 1, 2, 3}
+
+    def test_the_draws_meet_every_kind_of_span_overlap(self):
+        # how each span, in start order, meets the union of those before it:
+        # the sampler's merge has a branch for each of the last three kinds
+        kinds = set()
+        for seed in range(50):
+            rng = random.Random(seed)
+            for _ in range(120):
+                end = None
+                for lo, hi in sorted(oracle_random_spans(rng)):
+                    if end is not None:
+                        kinds.add("apart" if lo > end else "touching" if lo == end
+                                  else "nested" if hi < end else "overlapping" if hi > end
+                                  else "same end")
+                        end = max(end, hi)
+                    else:
+                        end = hi
+        assert {"apart", "touching", "overlapping", "nested"} <= kinds
 
 
 # space and map predicates ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction as Fr
@@ -59,6 +60,33 @@ class TestNormalForm:
             with pytest.raises(StructureError, match="endpoint"):
                 RationalRegion((pair,))
         assert RationalRegion.of((NEG_INF, 2)) == RationalRegion(((NEG_INF, Fr(2)),))
+
+    def test_every_construction_checks_the_normal_form(self):
+        # RationalRegion(...) and dataclasses.replace run the same checks
+        malformed = (
+            ((Fr(1), Fr(1)),),  # degenerate
+            ((Fr(2), Fr(1)),),  # reversed
+            ((POS_INF, NEG_INF),),  # reversed rays
+            ((Fr(2), Fr(3)), (Fr(0), Fr(1))),  # unsorted
+            ((Fr(0), Fr(2)), (Fr(1), Fr(3))),  # overlapping
+            ((Fr(0), Fr(1)), (Fr(1), Fr(2))),  # touching
+            ((True, Fr(2)),), ((Fr(0), 2.0),), ((Fr(0), 0.5),),  # bool and float
+        )
+        good = region((0, 1))
+        for intervals in malformed:
+            with pytest.raises(StructureError):
+                RationalRegion(intervals)
+            with pytest.raises(StructureError):
+                dataclasses.replace(good, intervals=intervals)
+        assert dataclasses.replace(good, intervals=((0, 2),)) == region((0, 2))
+        assert good.intervals == ((Fr(0), Fr(1)),)
+
+    def test_meet_with_an_empty_operand_returns_that_operand(self):
+        for other in (region((0, 1)), RationalRegion.whole_line(), RationalRegion(())):
+            empty = RationalRegion(())
+            assert empty.meet(other) == empty and empty.meet(other) is empty
+            if other.intervals:
+                assert other.meet(empty) == empty and other.meet(empty) is empty
 
     def test_constructor_stores_fractions_and_the_module_infinities(self):
         ints = RationalRegion(((0, 1),))
