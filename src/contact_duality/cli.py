@@ -13,6 +13,7 @@ import functools
 import os
 import random
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import jsonio
@@ -61,45 +62,42 @@ def _report_exit(reports: list[Report]) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATIONS
 
 
+def _read_as(path: str, kinds: tuple[str, ...], refusal: str):
+    """The kind and value of the document at path, a contact relation lifted to
+    its structure with the improper ideal; any kind outside kinds is refused."""
+    kind, value = _read(path)
+    if kind == "contact":
+        kind, value = "structure", nca_as_lca(value)
+    if kind not in kinds:
+        raise StructureError(refusal)
+    return kind, value
+
+
 def cmd_validate(args) -> int:
     kind, value = _read(args.file)
-    reports: list[Report] = []
-    info_lines: list[str] = []
-    if kind == "contact":
-        reports.append(check_axioms(value, "CA"))
-        reports.append(check_axioms(value, "NCA"))
-        con = check_axioms(value, "CON")
-        info_lines.append(f"connected: {'yes' if con.ok else 'no'}")
-    elif kind == "structure":
-        reports.append(check_axioms(value.contact, "CA"))
-        reports.append(check_lca_axioms(value))
-        cert = alexandroff_certificate(value)
-        reports.append(Report("alexandroff extension NCA certificate",
-                              cert.violations, cert.notes))
-    elif kind == "morphism":
-        reports.append(check_morphism(value, args.kind or "PAL"))
-    elif kind == "map":
-        preds = map_predicates(value)
-        for name in ("continuous", "closed", "perfect", "injective", "surjective",
-                     "dense_image"):
-            info_lines.append(f"{name}: {'yes' if getattr(preds, name) else 'no'}")
-    elif kind == "space":
-        preds = space_predicates(value)
-        for name in ("connected", "hausdorff", "extremally_disconnected", "compact"):
-            info_lines.append(f"{name}: {'yes' if getattr(preds, name) else 'no'}")
-        if args.format == "dot":
-            sys.stdout.write(jsonio.space_to_dot(value))
-            return EXIT_OK
-    elif kind in ("algebra", "region"):
-        info_lines.append(f"{kind}: well formed")
     if args.format == "dot":
-        if kind == "contact":
-            sys.stdout.write(jsonio.contact_to_dot(value))
-            return EXIT_OK
-        if kind == "structure":
-            sys.stdout.write(jsonio.contact_to_dot(value.contact))
-            return EXIT_OK
-        raise StructureError(f"dot output is not defined for {kind} inputs")
+        if kind == "space":
+            sys.stdout.write(jsonio.space_to_dot(value))
+        elif kind in ("contact", "structure"):
+            sys.stdout.write(jsonio.contact_to_dot(value if kind == "contact" else value.contact))
+        else:
+            raise StructureError(f"dot output is not defined for {kind} inputs")
+        return EXIT_OK
+    reports, info_lines = [], []
+    if kind == "contact":
+        reports = [check_axioms(value, "CA"), check_axioms(value, "NCA")]
+        info_lines = [f"connected: {'yes' if check_axioms(value, 'CON').ok else 'no'}"]
+    elif kind == "structure":
+        reports = [check_axioms(value.contact, "CA"), check_lca_axioms(value),
+                   replace(alexandroff_certificate(value),
+                           subject="alexandroff extension NCA certificate")]
+    elif kind == "morphism":
+        reports = [check_morphism(value, args.kind or "PAL")]
+    elif kind in ("map", "space"):
+        preds = map_predicates(value) if kind == "map" else space_predicates(value)
+        info_lines = [f"{name}: {'yes' if held else 'no'}" for name, held in asdict(preds).items()]
+    else:  # an algebra or a region
+        info_lines = [f"{kind}: well formed"]
     payload = {"kind": kind, "reports": [r.to_json() for r in reports], "info": info_lines}
     text = "\n".join([r.render() for r in reports] + info_lines) or f"{kind}: ok"
     _emit(args, payload, text)
@@ -107,13 +105,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    kind, value = _read(args.file)
-    if kind == "contact":
-        structure = nca_as_lca(value)
-    elif kind == "structure":
-        structure = value
-    else:
-        raise StructureError("clusters needs a contact relation or a local structure")
+    _, structure = _read_as(args.file, ("structure",),
+                            "clusters needs a contact relation or a local structure")
     if args.format == "dot":
         sys.stdout.write(jsonio.contact_to_dot(structure.contact))
         return EXIT_OK
@@ -128,12 +121,9 @@ def cmd_clusters(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    kind, value = _read(args.file)
-    if kind == "contact":
-        value = nca_as_lca(value)
-    elif kind != "structure":
-        raise StructureError("dualize needs a contact relation or a local structure")
-    dual = dual_space(value)
+    _, structure = _read_as(args.file, ("structure",),
+                            "dualize needs a contact relation or a local structure")
+    dual = dual_space(structure)
     if args.format == "dot":
         sys.stdout.write(jsonio.space_to_dot(dual.space))
         return EXIT_OK
@@ -148,15 +138,11 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    kind, value = _read(args.file)
-    if kind != "space":
-        raise StructureError("lift needs a space")
-    rc = rc_algebra(value)
+    _, space = _read_as(args.file, ("space",), "lift needs a space")
+    rc = rc_algebra(space)
     payload = jsonio.lca_to_json(rc.lca())
-    payload["atom_pointsets"] = {
-        rc.algebra.atom_names[k]: list(value.names_of(atom))
-        for k, atom in enumerate(rc.atoms)
-    }
+    payload["atom_pointsets"] = {rc.algebra.atom_names[k]: list(space.names_of(atom))
+                                 for k, atom in enumerate(rc.atoms)}
     text = "\n".join(
         [f"regular closed atoms: {', '.join(rc.algebra.atom_names)}"]
         + [f"  {name} = {{{', '.join(points)}}}"
@@ -167,27 +153,22 @@ def cmd_lift(args) -> int:
 
 
 def cmd_dual_map(args) -> int:
-    kind, value = _read(args.file)
+    kind, value = _read_as(args.file, ("map", "morphism"), "dual-map needs a map or a morphism")
     if kind == "map":
-        phi = dual_of_map(value)
-        payload = jsonio.morphism_to_json(phi)
+        payload = jsonio.morphism_to_json(dual_of_map(value))
         text = "dualized map to a morphism; use --format json for the table"
-    elif kind == "morphism":
+    else:
         f = dual_of_morphism(value)
         payload = jsonio.map_to_json(f)
         text = "\n".join(f"{p} -> {f.target.points[f.assignment[i]]}"
                          for i, p in enumerate(f.source.points))
-    else:
-        raise StructureError("dual-map needs a map or a morphism")
     _emit(args, payload, text)
     return EXIT_OK
 
 
 def cmd_check_morphism(args) -> int:
-    kind, value = _read(args.file)
-    if kind != "morphism":
-        raise StructureError("check-morphism needs a morphism")
-    report = check_morphism(value, args.kind or "PAL")
+    _, phi = _read_as(args.file, ("morphism",), "check-morphism needs a morphism")
+    report = check_morphism(phi, args.kind or "PAL")
     _emit(args, {"reports": [report.to_json()]}, report.render())
     return _report_exit([report])
 
@@ -197,60 +178,48 @@ def cmd_compose(args) -> int:
     kind2, second = _read(args.inner)
     if kind1 != "morphism" or kind2 != "morphism":
         raise StructureError("compose needs two morphisms")
-    result = compose(first, second)
-    payload = jsonio.morphism_to_json(result)
-    _emit(args, payload, "composed; use --format json for the table")
+    _emit(args, jsonio.morphism_to_json(compose(first, second)),
+          "composed; use --format json for the table")
     return EXIT_OK
 
 
 def cmd_roundtrip(args) -> int:
-    kind, value = _read(args.file)
-    if kind == "contact":
-        value = nca_as_lca(value)
-    elif kind not in ("structure", "space", "map", "morphism"):
-        raise StructureError("roundtrip needs a space, map, structure or morphism")
+    _, value = _read_as(args.file, ("structure", "space", "map", "morphism"),
+                        "roundtrip needs a space, map, structure or morphism")
     report = roundtrip_report(value)
     _emit(args, {"reports": [report.to_json()]}, report.render())
     return _report_exit([report])
 
 
+# region operation: the RationalRegion method it runs, where the names differ
+_REGION_METHODS = {"union": "join", "contact": "touches", "waybelow": "well_inside"}
+
+
 def cmd_region(args) -> int:
     op, texts = args.operation, args.operands
-    if op in ("union", "meet", "le", "contact", "waybelow", "interpolate"):
-        if len(texts) != 2:
-            raise StructureError(f"region {op} takes two regions")
-        left, right = RationalRegion.from_text(texts[0]), RationalRegion.from_text(texts[1])
-        if op in ("le", "contact", "waybelow"):
-            value = (left.le(right) if op == "le" else left.touches(right) if op == "contact"
-                     else left.well_inside(right))
-            _emit(args, {"result": value}, str(value).lower())
-            return EXIT_OK
-        out = (left.join(right) if op == "union" else left.meet(right) if op == "meet"
-               else interpolate(left, right))
-        _emit(args, jsonio.region_to_json(out), out.to_text())
-        return EXIT_OK
-    if op == "complement":
-        if len(texts) != 1:
-            raise StructureError("region complement takes one region")
-        out = RationalRegion.from_text(texts[0]).complement()
-        _emit(args, jsonio.region_to_json(out), out.to_text())
-        return EXIT_OK
-    if op == "bounded":
-        if len(texts) != 1:
-            raise StructureError("region bounded takes one region")
-        value = RationalRegion.from_text(texts[0]).is_bounded
-        _emit(args, {"result": value}, str(value).lower())
-        return EXIT_OK
+    if op == "laws":
+        return _region_laws(args)
     if op == "affine":
         if len(texts) != 3:
             raise StructureError("region affine takes a slope, an offset and a region")
         alpha, beta = parse_rational(texts[0]), parse_rational(texts[1])
         out = affine_preimage(alpha, beta, RationalRegion.from_text(texts[2]))
+    else:
+        count, noun = (1, "one region") if op in ("complement", "bounded") else (2, "two regions")
+        if len(texts) != count:
+            raise StructureError(f"region {op} takes {noun}")
+        regions = [RationalRegion.from_text(text) for text in texts]
+        if op == "interpolate":
+            out = interpolate(*regions)
+        elif op == "bounded":
+            out = regions[0].is_bounded
+        else:
+            out = getattr(RationalRegion, _REGION_METHODS.get(op, op))(*regions)
+    if isinstance(out, bool):
+        _emit(args, {"result": out}, str(out).lower())
+    else:
         _emit(args, jsonio.region_to_json(out), out.to_text())
-        return EXIT_OK
-    if op == "laws":
-        return _region_laws(args)
-    raise StructureError(f"unknown region operation {op!r}")
+    return EXIT_OK
 
 
 _SCALE = 420  # lcm(1..7): every drawn low end and width is a whole number of 1/_SCALE

@@ -157,6 +157,9 @@ def map_from_json(obj) -> SpaceMap:
         if p not in assign:
             raise StructureError(f"map: point {p!r} is not assigned")
         table.append(target.point_index(assign[p]))
+    extra = set(assign) - set(source.points)
+    if extra:
+        raise StructureError(f"map: assignments given for unknown points {sorted(extra)}")
     return SpaceMap(source, target, tuple(table))
 
 
@@ -241,27 +244,7 @@ def dual_space_to_json(dual: DualSpace) -> dict:
     }
 
 
-# detection and top level --------------------------------------------------------
-
-def detect_kind(obj) -> str:
-    if not isinstance(obj, dict):
-        raise StructureError("top level must be a JSON object")
-    if "table" in obj:
-        return "morphism"
-    if "assign" in obj:
-        return "map"
-    if "min_nbhd" in obj:
-        return "space"
-    if "bounded" in obj:
-        return "structure"
-    if "contact" in obj:
-        return "contact"
-    if "intervals" in obj:
-        return "region"
-    if "atoms" in obj:
-        return "algebra"
-    raise StructureError("unrecognized document: no known discriminating field")
-
+# top level --------------------------------------------------------------------
 
 class _JsonNumber(float):
     """A JSON number with a fraction or an exponent that keeps its literal text.
@@ -280,6 +263,17 @@ class _JsonNumber(float):
 
 _DECODER = json.JSONDecoder(parse_float=_JsonNumber)
 
+# each document kind by the first of these fields that its top-level object has
+_KINDS = (
+    ("table", "morphism", morphism_from_json),
+    ("assign", "map", map_from_json),
+    ("min_nbhd", "space", space_from_json),
+    ("bounded", "structure", lca_from_json),
+    ("contact", "contact", contact_from_json),
+    ("intervals", "region", region_from_json),
+    ("atoms", "algebra", algebra_from_json),
+)
+
 
 def loads(text: str, where: str = "<input>"):
     try:
@@ -292,18 +286,13 @@ def loads(text: str, where: str = "<input>"):
         raise StructureError(f"{where}: arrays or objects nested too deeply") from exc
     except ValueError as exc:  # an integer beyond the int-to-string digit limit
         raise StructureError(f"{where}: a number has too many digits") from exc
-    kind = detect_kind(obj)
-    parser = {
-        "morphism": morphism_from_json,
-        "map": map_from_json,
-        "space": space_from_json,
-        "structure": lca_from_json,
-        "contact": contact_from_json,
-        "region": region_from_json,
-        "algebra": algebra_from_json,
-    }[kind]
     try:
-        return kind, parser(obj)
+        if not isinstance(obj, dict):
+            raise StructureError("top level must be a JSON object")
+        for marker, kind, reader in _KINDS:
+            if marker in obj:
+                return kind, reader(obj)
+        raise StructureError("unrecognized document: no known discriminating field")
     except StructureError as exc:
         raise StructureError(f"{where}: {exc}") from exc
 

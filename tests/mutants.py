@@ -63,6 +63,8 @@ _RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
 _DENSE = (f"{_ORACLES}::TestDenseSubspaceTables"
           "::test_tables_equal_the_per_set_rewrites_up_to_four_points")
 _ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse"
+_KIND_ORDER = ("tests/test_cli.py::TestParserRejections"
+               "::test_kind_is_read_by_the_first_marker_field_in_table_order")
 _DUAL_MAPS = f"{_ORACLES}::TestDualOfMapTables::test_every_map_between_spaces_up_to_three_points"
 _SUBSET_JOINS = tuple(
     f"tests/test_boolalg.py::test_subset_joins_equal_the_submask_join_on_{tables}"
@@ -387,6 +389,39 @@ MUTANTS = (
            "return other if not a else self",
            ("tests/test_regions.py::TestNormalForm"
             "::test_meet_with_an_empty_operand_returns_that_operand",)),
+    Mutant("read-as-skips-the-contact-lift", f"{PACKAGE}/cli.py",
+           'kind, value = "structure", nca_as_lca(value)',
+           "value = nca_as_lca(value)",
+           ("tests/test_cli.py::TestClusters::test_path_relation_lists_two",)),
+    Mutant("kind-table-tests-contact-before-bounded", f"{PACKAGE}/jsonio.py",
+           '    ("bounded", "structure", lca_from_json),\n'
+           '    ("contact", "contact", contact_from_json),\n',
+           '    ("contact", "contact", contact_from_json),\n'
+           '    ("bounded", "structure", lca_from_json),\n',
+           (_KIND_ORDER,)),
+    Mutant("kind-table-drops-the-algebra-kind", f"{PACKAGE}/jsonio.py",
+           '    ("atoms", "algebra", algebra_from_json),\n)',
+           ")",
+           (_KIND_ORDER,)),
+    Mutant("kind-errors-drop-the-file-name", f"{PACKAGE}/jsonio.py",
+           'raise StructureError(f"{where}: {exc}") from exc',
+           "raise",
+           ("tests/test_cli.py::TestParserRejections::test_kind_errors_name_the_file",)),
+    Mutant("map-ignores-unknown-assignments", f"{PACKAGE}/jsonio.py",
+           "extra = set(assign) - set(source.points)",
+           "extra = set()",
+           ("tests/test_cli.py::TestParserRejections"
+            "::test_map_assigning_an_unknown_point_is_refused",)),
+    Mutant("region-unary-operations-take-two", f"{PACKAGE}/cli.py",
+           'if op in ("complement", "bounded") else (2, "two regions")',
+           'if op == "complement" else (2, "two regions")',
+           ("tests/test_cli.py::TestRegionVerb"
+            "::test_unary_operations_refuse_other_operand_counts",)),
+    Mutant("region-method-defaults-to-meet", f"{PACKAGE}/cli.py",
+           "_REGION_METHODS.get(op, op)",
+           '_REGION_METHODS.get(op, "meet")',
+           ("tests/test_cli.py::TestDispatchCoversTheParser"
+            "::test_region_operation_reaches_its_handler",)),
 )
 
 

@@ -12,8 +12,9 @@ from contact_duality import jsonio
 from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import overlap_contact
 from contact_duality.duality import AlgebraMorphism, identity_morphism
+from contact_duality.errors import StructureError
 from contact_duality.localcontact import nca_as_lca
-from contact_duality.cli import REGION_SAMPLE_CAP, _parse, build_parser, main
+from contact_duality.cli import REGION_SAMPLE_CAP, _parse, _parsers, build_parser, main
 from corpus import discrete
 from test_golden import ROOT, command_lines
 from contact_duality.spaces import SpaceMap, discrete_space
@@ -449,6 +450,27 @@ class TestRegionVerb:
         code, _, err = run(capsys, "region", "union", "[0,1]")
         assert code == 2
 
+    @pytest.mark.parametrize("op", ["union", "meet", "le", "contact", "waybelow", "interpolate"])
+    @pytest.mark.parametrize("operands", [["[0,1]"], ["[0,1]", "[-1,2]", "[1,2]"]],
+                             ids=["one", "three"])
+    def test_binary_operations_refuse_other_operand_counts(self, op, operands, capsys):
+        assert run(capsys, "region", op, *operands) == \
+            (2, "", f"error: region {op} takes two regions\n")
+
+    @pytest.mark.parametrize("op", ["complement", "bounded"])
+    @pytest.mark.parametrize("operands", [[], ["[0,1]", "[1,2]"]], ids=["none", "two"])
+    def test_unary_operations_refuse_other_operand_counts(self, op, operands, capsys):
+        assert run(capsys, "region", op, *operands) == \
+            (2, "", f"error: region {op} takes one region\n")
+
+    def test_affine_refuses_two_operands(self, capsys):
+        assert run(capsys, "region", "affine", "2", "[0,1]") == \
+            (2, "", "error: region affine takes a slope, an offset and a region\n")
+
+    def test_laws_ignore_their_operands(self, capsys):
+        assert run(capsys, "region", "laws", "[0,1]", "--samples", "1") == \
+            (0, "1 samples, seed 1729: all laws hold\n", "")
+
     def test_huge_exponent_exits_two(self, capsys):
         code, out, err = run(capsys, "region", "union", "[0,1e200000]", "[0,1]")
         assert (code, out) == (2, "")
@@ -474,6 +496,55 @@ class TestRegionVerb:
             code, out, err = run(capsys, "region", "affine", "--", *operands, "[0,1]")
             assert (code, out) == (2, "")
             assert err.startswith("error: bad rational") and "Traceback" not in err
+
+
+# One valid input per verb and per region operation, with what it prints; the
+# tests below fail when the parser offers a verb or an operation that no
+# input here covers, or that does not reach its own handler.
+VERB_INPUTS = {
+    "validate": ["rho_s_2.json"],
+    "clusters": ["path_pq_r.json"],
+    "dualize": ["overlap_improper_2.json"],
+    "lift": ["sierpinski.json"],
+    "dual-map": ["swap_2.json"],
+    "check-morphism": ["identity_morphism_2.json"],
+    "compose": ["swap_dual_morphism.json", "swap_dual_morphism.json"],
+    "roundtrip": ["discrete3.json"],
+    "region": None,  # the operations of REGION_INPUTS
+}
+REGION_INPUTS = {
+    "union": (["[0,1]", "[1,2]"], "[0,2]"),
+    "meet": (["[0,1]", "[1/2,2]"], "[1/2,1]"),
+    "complement": (["[0,1]"], "[-inf,0] u [1,inf]"),
+    "le": (["[0,1]", "[0,2]"], "true"),
+    "contact": (["[0,1]", "[1,2]"], "true"),
+    "waybelow": (["[0,1]", "[-1,2]"], "true"),
+    "bounded": (["[-inf,0]"], "false"),
+    "interpolate": (["[0,1]", "[-1,2]"], "[-1/2,3/2]"),
+    "affine": (["2", "0", "[0,2]"], "[0,1]"),
+    "laws": (["--samples", "1"], "1 samples, seed 1729: all laws hold"),
+}
+
+
+class TestDispatchCoversTheParser:
+    def test_every_verb_and_region_operation_has_an_input(self):
+        verbs = _parsers()[1]
+        assert set(VERB_INPUTS) == set(verbs)
+        operation = next(a for a in verbs["region"]._actions if a.dest == "operation")
+        assert set(REGION_INPUTS) == set(operation.choices)
+
+    @pytest.mark.parametrize("verb", [v for v, files in VERB_INPUTS.items() if files])
+    def test_verb_reaches_its_handler(self, verb, capsys):
+        argv = [verb, *(str(DATA / name) for name in VERB_INPUTS[verb])]
+        assert _parse(argv).run.__name__ == "cmd_" + verb.replace("-", "_")
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and out and err == ""
+
+    @pytest.mark.parametrize("op", list(REGION_INPUTS))
+    def test_region_operation_reaches_its_handler(self, op, capsys):
+        operands, printed = REGION_INPUTS[op]
+        assert _parse(["region", op, *operands]).run.__name__ == "cmd_region"
+        assert run(capsys, "region", op, *operands) == (0, printed + "\n", "")
 
 
 def intervals_text(starts, lo, hi):
@@ -637,6 +708,43 @@ class TestCapOverride:
 
 
 class TestParserRejections:
+    # one document per kind, each also holding the marker fields of every kind
+    # after its own, so that only the order of the kind table reads it right
+    KIND_DOCUMENTS = {
+        "morphism": json.loads((DATA / "identity_morphism_2.json").read_text())
+        | {"assign": {}, "min_nbhd": {}},
+        "map": json.loads((DATA / "swap_2.json").read_text()) | {"min_nbhd": {}, "bounded": []},
+        "space": json.loads((DATA / "sierpinski.json").read_text()) | {"bounded": [0]},
+        "structure": json.loads((DATA / "overlap_gen_p.json").read_text()) | {"intervals": 0},
+        "contact": json.loads((DATA / "path_pq_r.json").read_text()) | {"intervals": 0},
+        "region": json.loads((DATA / "region_ray.json").read_text()) | {"atoms": 0},
+        "algebra": {"atoms": ["p"]},
+    }
+
+    @pytest.mark.parametrize("kind", list(KIND_DOCUMENTS))
+    def test_kind_is_read_by_the_first_marker_field_in_table_order(self, kind):
+        assert jsonio.loads(json.dumps(self.KIND_DOCUMENTS[kind]))[0] == kind
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "top level must be a JSON object"),
+        ({"point": ["a"]}, "unrecognized document: no known discriminating field"),
+    ], ids=["array", "no-marker-field"])
+    def test_kind_errors_name_the_file(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (2, "", f"error: {path}: {message}\n")
+        with pytest.raises(StructureError) as raised:
+            jsonio.loads(json.dumps(doc), where="list.json")
+        assert str(raised.value) == f"list.json: {message}"
+
+    def test_map_assigning_an_unknown_point_is_refused(self, tmp_path, capsys):
+        space = {"points": ["a"], "min_nbhd": {"a": ["a"]}}
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"source": space, "target": space,
+                                    "assign": {"a": "a", "zzz": "a"}}))
+        assert run(capsys, "validate", str(path)) == \
+            (2, "", f"error: {path}: map: assignments given for unknown points ['zzz']\n")
+
     def test_diagonal_contact_pair_rejected(self, tmp_path, capsys):
         doc = {"algebra": {"atoms": ["p", "q"]}, "contact": [["p", "p"]]}
         path = tmp_path / "diag.json"
