@@ -21,7 +21,7 @@ from .boolalg import atom_unions, cached_property, subset_joins
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension, infinity_cluster, nca_as_lca
-from .report import Report, Violation
+from .report import Report, Violation, first_mismatch
 from .spaces import (
     FiniteSpace,
     RegularClosedAlgebra,
@@ -48,10 +48,6 @@ class AlgebraMorphism:
             raise StructureError("morphism table must cover every source element")
         for v in self.table:
             self.target.algebra.check_element(v)
-
-    def __call__(self, a: int) -> int:
-        self.source.algebra.check_element(a)
-        return self.table[a]
 
 
 def identity_morphism(structure: LocalContactAlgebra) -> AlgebraMorphism:
@@ -148,9 +144,8 @@ def check_morphism(phi: AlgebraMorphism, kind: str = "PAL") -> Report:
             break
 
     lower = _lower_joins(src, joins)
-    if lower != table:
-        a = next(a for a, sup in enumerate(lower) if sup != table[a])
-        found.append(Violation("PAL6", (A.names_of(a),)))
+    if lower != table:  # the list comparison runs at C speed on the common, lawful table
+        found.append(Violation("PAL6", (A.names_of(first_mismatch(lower, table)),)))
 
     subject = "PAL axioms" if kind == "PAL" else "DVAL axioms (improper-ideal reading)"
     return Report(subject, tuple(found))
@@ -328,28 +323,24 @@ def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
                                              "space is not Hausdorff",)))
 
     dual = dual_space(rc.lca())
-    assignment = []
-    violations = []
-    for x in range(space.point_count):
-        if sigma[x] not in dual.point_index:
-            violations.append(Violation("point-to-cluster", (space.points[x],)))
-            break
-        assignment.append(dual.point_index[sigma[x]])
-    if violations:
+    index, count = dual.point_index, dual.space.point_count
+    missing = next((x for x, support in enumerate(sigma) if support not in index), None)
+    if missing is not None:
+        failed = Violation("point-to-cluster", (space.points[missing],))
         return PointEmbedding(space, rc, sigma, dual, None, False,
-                              Report("point embedding", tuple(violations)))
+                              Report("point embedding", (failed,)))
 
-    t = SpaceMap(space, dual.space, tuple(assignment))
-    if len(set(assignment)) != dual.space.point_count or len(assignment) != dual.space.point_count:
+    t = SpaceMap(space, dual.space, tuple(index[support] for support in sigma))
+    violations = []
+    if len(set(t.assignment)) != count or len(t.assignment) != count:
         violations.append(Violation("bijective"))
-    preds = map_predicates(t)
-    if not preds.continuous:
+    # t is continuous when each image t(U_x) lies in U_t(x), and a continuous
+    # bijection has a continuous inverse when each image is all of U_t(x)
+    pairs = [(t.image(u), dual.space.min_nbhd[y]) for u, y in zip(space.min_nbhd, t.assignment)]
+    if any(image | u != u for image, u in pairs):
         violations.append(Violation("continuous"))
-    if not violations:
-        inverse = SpaceMap(dual.space, space,
-                           tuple(assignment.index(i) for i in range(dual.space.point_count)))
-        if not map_predicates(inverse).continuous:
-            violations.append(Violation("inverse-continuous"))
+    if not violations and any(image != u for image, u in pairs):
+        violations.append(Violation("inverse-continuous"))
     ok = not violations
     return PointEmbedding(space, rc, sigma, dual, t, ok,
                           Report("point embedding homeomorphism", tuple(violations)))
@@ -470,7 +461,8 @@ def roundtrip_report(item) -> Report:
 
     Spaces are checked through the point embedding, structures through the
     double dual isomorphism, maps and morphisms additionally through their
-    naturality squares, compared entry by entry.
+    naturality squares, each of which names the least entry where its two
+    sides differ.
     """
     if isinstance(item, FiniteSpace):
         emb = point_embedding(item)
@@ -483,39 +475,28 @@ def roundtrip_report(item) -> Report:
         inner = item.double_dual
         return Report("roundtrip: structure", inner.violations, inner.notes)
 
+    if not isinstance(item, (SpaceMap, AlgebraMorphism)):
+        raise StructureError(f"cannot round-trip a {type(item).__name__}")
+    violations = [*roundtrip_report(item.source).violations,
+                  *roundtrip_report(item.target).violations]
+    # the square compares "unit after item" with "double dual after unit",
+    # lazily: no entry past the first difference is computed
     if isinstance(item, SpaceMap):
-        violations = list(roundtrip_report(item.source).violations)
-        violations.extend(roundtrip_report(item.target).violations)
-        phi = dual_of_map(item)
-        back = dual_of_morphism(phi)
-        t_src = point_embedding(item.source).map
-        t_tgt = point_embedding(item.target).map
-        if t_src is None or t_tgt is None:
-            violations.append(Violation("naturality-square"))
-        else:
-            for x in range(item.source.point_count):
-                if t_tgt.assignment[item(x)] != back.assignment[t_src.assignment[x]]:
-                    violations.append(
-                        Violation("naturality-square", (item.source.points[x],)))
-                    break
-        return Report("roundtrip: map naturality", tuple(violations))
-
-    if isinstance(item, AlgebraMorphism):
-        violations = list(roundtrip_report(item.source).violations)
-        violations.extend(roundtrip_report(item.target).violations)
-        src_dual = dual_space(item.source)
-        tgt_dual = dual_space(item.target)
-        g = dual_of_morphism(item)
-        phi_back = dual_of_map(g)
-        rc_src = rc_algebra(src_dual.space)
-        rc_tgt = rc_algebra(tgt_dual.space)
-        for a in item.source.algebra.elements():
-            left = rc_tgt.to_element(tgt_dual.regions[item.table[a]])
-            right = phi_back.table[rc_src.to_element(src_dual.regions[a])]
-            if left != right:
-                violations.append(
-                    Violation("naturality-square", (item.source.algebra.names_of(a),)))
-                break
-        return Report("roundtrip: morphism naturality", tuple(violations))
-
-    raise StructureError(f"cannot round-trip a {type(item).__name__}")
+        kind, name = "map", item.source.points.__getitem__
+        back = dual_of_morphism(dual_of_map(item))
+        t_src, t_tgt = point_embedding(item.source).map, point_embedding(item.target).map
+        square = None if t_src is None or t_tgt is None else (
+            map(t_tgt.assignment.__getitem__, item.assignment),
+            map(back.assignment.__getitem__, t_src.assignment))
+    else:
+        kind, name = "morphism", item.source.algebra.names_of
+        src_dual, tgt_dual = dual_space(item.source), dual_space(item.target)
+        back = dual_of_map(dual_of_morphism(item))
+        rc_src, rc_tgt = rc_algebra(src_dual.space), rc_algebra(tgt_dual.space)
+        square = (map(rc_tgt.to_element, map(tgt_dual.regions.__getitem__, item.table)),
+                  map(back.table.__getitem__, map(rc_src.to_element, src_dual.regions)))
+    if square is None:  # a side has no unit map
+        violations.append(Violation("naturality-square"))
+    elif (entry := first_mismatch(*square)) is not None:
+        violations.append(Violation("naturality-square", (name(entry),)))
+    return Report(f"roundtrip: {kind} naturality", tuple(violations))

@@ -303,25 +303,34 @@ def dumps(obj) -> str:
 
 # DOT export -----------------------------------------------------------------------
 
+def _dot_string(name: str) -> str:
+    """name quoted for DOT, each double quote escaped; a trailing backslash would
+    escape the closing quote, and DOT drops a backslash-newline: both are refused."""
+    if name.endswith("\\") or "\\\n" in name:
+        raise StructureError(f"dot output cannot quote the name {name!r}")
+    return '"' + name.replace('"', '\\"') + '"'
+
+
 def contact_to_dot(relation: ContactRelation) -> str:
-    names = relation.algebra.atom_names
+    names = [_dot_string(name) for name in relation.algebra.atom_names]
     lines = ["graph contact {"]
     for name in names:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {name};")
     for i, j in relation.atom_pairs():
-        lines.append(f'  "{names[i]}" -- "{names[j]}";')
+        lines.append(f"  {names[i]} -- {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def space_to_dot(space: FiniteSpace) -> str:
     """Specialization preorder: an edge x -> y when x lies in the closure of y."""
+    names = [_dot_string(p) for p in space.points]
     lines = ["digraph specialization {"]
-    for p in space.points:
-        lines.append(f'  "{p}";')
+    for name in names:
+        lines.append(f"  {name};")
     for x in range(space.point_count):
         for y in range(space.point_count):
             if x != y and space.min_nbhd[x] >> y & 1:
-                lines.append(f'  "{space.points[x]}" -> "{space.points[y]}";')
+                lines.append(f"  {names[x]} -> {names[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -178,26 +178,16 @@ def infinity_cluster(structure: LocalContactAlgebra, *, check: bool = True):
     return cluster
 
 
-def overlap_companion(
-    structure: LocalContactAlgebra,
-    *,
-    improper_target: bool = False,
-    validate: bool = True,
-):
+def overlap_companion(structure: LocalContactAlgebra):
     """Same algebra and ideal with contact weakened to plain overlap.
 
     Returns the companion structure and the identity-carried morphism into
-    it.  improper_target forces the companion's ideal to be everything, which
-    is the classic way to break the ideal-covering morphism axiom when the
-    source ideal is proper.  validate=False skips the precondition check so
-    that deliberately invalid sources can be paired with the companion.
+    it; a structure failing the boundedness axioms is refused.
     """
     from .duality import AlgebraMorphism
 
-    if validate and not structure.bc_report.ok:
+    if not structure.bc_report.ok:
         raise Refusal("input fails the boundedness axioms", structure.bc_report)
     alg = structure.algebra
-    ideal = BoundedIdeal(alg, alg.top) if improper_target else structure.ideal
-    companion = LocalContactAlgebra(overlap_contact(alg), ideal)
-    identity = AlgebraMorphism(structure, companion, tuple(alg.elements()))
-    return companion, identity
+    companion = LocalContactAlgebra(overlap_contact(alg), structure.ideal)
+    return companion, AlgebraMorphism(structure, companion, tuple(alg.elements()))

@@ -9,6 +9,8 @@ diff them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,12 @@ class Report:
         lines.extend("  violated " + v.render() for v in self.violations)
         lines.extend("  note: " + n for n in self.notes)
         return "\n".join(lines)
+
+
+def first_mismatch(left, right) -> int | None:
+    """The least index at which two equal-length sequences differ, or None.
+    Iterators are read pairwise, left first, and not past the first difference."""
+    return next(compress(count(), map(ne, left, right)), None)
 
 
 def _jsonable(value):

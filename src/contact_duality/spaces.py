@@ -32,7 +32,7 @@ from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, cached_proper
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, nca_as_lca
-from .report import Report, Violation
+from .report import Report, Violation, first_mismatch
 
 RC_POINT_CAP = 16
 
@@ -84,12 +84,6 @@ class FiniteSpace:
             return self._point_positions[name]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"unknown point {name!r}") from exc
-
-    def set_of_names(self, names) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.point_index(name)
-        return mask
 
     def names_of(self, m: int) -> tuple[str, ...]:
         self.check_set(m)
@@ -584,14 +578,12 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
     if sorted(extend.values()) != sorted(big_rc):
         violations.append(Violation("extend-range"))
     if not violations:
-        for f in big_rc:
-            if extend[restrict[f]] != f:
-                violations.append(Violation("extend-restrict", (space.names_of(f),)))
-                break
-        for g in small_rc:
-            if restrict[extend[g]] != g:
-                violations.append(Violation("restrict-extend", (sub.names_of(g),)))
-                break
+        i = first_mismatch((extend[restrict[f]] for f in big_rc), big_rc)
+        if i is not None:
+            violations.append(Violation("extend-restrict", (space.names_of(big_rc[i]),)))
+        j = first_mismatch((restrict[extend[g]] for g in small_rc), small_rc)
+        if j is not None:
+            violations.append(Violation("restrict-extend", (sub.names_of(small_rc[j]),)))
     if not violations:
         law = trace_law_violation(restrict, big, small)
         if law is not None:

@@ -60,6 +60,9 @@ _RC_LAWS = f"{_ORACLES}::TestRegularClosedLawsOnAtoms"
 _ISO_LAWS = f"{_ORACLES}::TestRegularOpenAndTraceLawsOnAtoms"
 _RO_WALKS = ("tests/test_spaces.py::TestRegularOpen"
              "::test_no_element_walk_on_every_space_up_to_four_points")
+_SQUARES = "tests/test_duality.py::TestNaturalitySquares"
+_EMBEDDING = "tests/test_duality.py::TestPointEmbeddingCertificate"
+_DOT = "tests/test_cli.py::TestDualizeAndLift"
 _DENSE = (f"{_ORACLES}::TestDenseSubspaceTables"
           "::test_tables_equal_the_per_set_rewrites_up_to_four_points")
 _ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse"
@@ -422,6 +425,60 @@ MUTANTS = (
            '_REGION_METHODS.get(op, "meet")',
            ("tests/test_cli.py::TestDispatchCoversTheParser"
             "::test_region_operation_reaches_its_handler",)),
+    Mutant("first-mismatch-returns-the-last", f"{PACKAGE}/report.py",
+           "return next(compress(count(), map(ne, left, right)), None)",
+           "return max(compress(count(), map(ne, left, right)), default=None)",
+           (f"{_SQUARES}::test_map_square_names_the_least_source_point",
+            "tests/test_spaces.py::TestSubspacesAndDensity"
+            "::test_tampered_closures_break_both_inverse_checks_at_the_least_set")),
+    Mutant("square-compares-the-source-unit-after-the-item", f"{PACKAGE}/duality.py",
+           "map(t_tgt.assignment.__getitem__, item.assignment)",
+           "map(t_src.assignment.__getitem__, item.assignment)",
+           ("tests/test_duality.py::TestRoundTrips"
+            "::test_maps_between_spaces_of_different_sizes_and_their_duals",)),
+    Mutant("morphism-square-reads-the-source-unit-after-the-item", f"{PACKAGE}/duality.py",
+           "map(rc_tgt.to_element, map(tgt_dual.regions.__getitem__, item.table))",
+           "map(rc_src.to_element, map(src_dual.regions.__getitem__, item.table))",
+           ("tests/test_duality.py::TestRoundTrips"
+            "::test_maps_between_spaces_of_different_sizes_and_their_duals",)),
+    Mutant("morphism-square-builds-whole-tables", f"{PACKAGE}/duality.py",
+           "square = (map(rc_tgt.to_element, map(tgt_dual.regions.__getitem__, item.table)),",
+           "square = (list(map(rc_tgt.to_element, map(tgt_dual.regions.__getitem__, item.table))),",
+           (f"{_SQUARES}::test_morphism_square_reads_no_entry_past_the_first_difference",)),
+    Mutant("embedding-inverse-check-as-inclusion", f"{PACKAGE}/duality.py",
+           "if not violations and any(image != u for image, u in pairs):",
+           "if not violations and any(image | u != u for image, u in pairs):",
+           (f"{_EMBEDDING}::test_a_continuous_bijection_onto_a_coarser_space",)),
+    Mutant("embedding-continuity-only-on-a-bijection", f"{PACKAGE}/duality.py",
+           "    if any(image | u != u for image, u in pairs):",
+           "    if not violations and any(image | u != u for image, u in pairs):",
+           (f"{_EMBEDDING}::test_a_map_onto_too_few_points_that_tears_a_neighbourhood",)),
+    Mutant("dot-name-leaves-quotes", f"{PACKAGE}/jsonio.py",
+           r"""name.replace('"', '\\"')""",
+           "name",
+           (f"{_DOT}::test_dot_escapes_double_quotes_in_names",)),
+    Mutant("dot-name-keeps-a-trailing-backslash", f"{PACKAGE}/jsonio.py",
+           'if name.endswith("\\\\") or "\\\\\\n" in name:',
+           'if "\\\\\\n" in name:',
+           (f"{_DOT}::test_dot_refuses_a_name_whose_backslash_it_would_read_as_an_escape",)),
+    Mutant("space-accepts-repeated-point-names", f"{PACKAGE}/spaces.py",
+           "if len(set(self.points)) != n:",
+           "if False:",
+           ("tests/test_cli.py::TestParserRejections::test_malformed_document_names_its_fault",)),
+    Mutant("ro-certificate-skips-the-bijection-check", f"{PACKAGE}/spaces.py",
+           "if sorted(ro.to_closed.values()) != sorted(rc.carrier):",
+           "if False:",
+           ("tests/test_spaces.py::TestRegularOpen::test_closure_map_that_is_no_bijection",)),
+    Mutant("dual-of-morphism-skips-the-bounded-check", f"{PACKAGE}/duality.py",
+           "if not support & phi.source.ideal.generator:",
+           "if False:",
+           ("tests/test_duality.py::TestDualOfMorphism"
+            "::test_traced_cluster_outside_the_ideal_is_an_integrity_error",)),
+    Mutant("dual-of-morphism-skips-the-perfectness-check", f"{PACKAGE}/duality.py",
+           "    if not preds.perfect:\n        raise IntegrityError(",
+           "    if False:\n        raise IntegrityError(",
+           ("tests/test_duality.py::TestDualOfMorphism"
+            "::test_dual_map_into_a_coarser_dual_is_an_integrity_error",)),
 )
 
 

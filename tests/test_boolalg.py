@@ -10,6 +10,7 @@ from contact_duality.boolalg import (
     FiniteBooleanAlgebra,
     atom_join,
     atom_unions,
+    cached_property,
     subset_joins,
 )
 from contact_duality.errors import StructureError
@@ -172,3 +173,18 @@ def test_atom_index_refuses_unknown_and_unhashable_names(pq):
         with pytest.raises(StructureError) as caught:
             pq.atom_index(name)
         assert str(caught.value) == f"unknown atom {name!r}"
+
+
+def test_cached_property_computes_once_and_is_its_own_descriptor_on_the_class():
+    calls = []
+
+    class Holder:
+        @cached_property
+        def value(self):
+            """The value."""
+            calls.append(self)
+            return len(calls)
+
+    holder = Holder()
+    assert (holder.value, holder.value, calls) == (1, 1, [holder])
+    assert isinstance(Holder.value, cached_property) and Holder.value.__doc__ == "The value."

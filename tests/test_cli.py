@@ -13,6 +13,7 @@ from contact_duality.boolalg import FiniteBooleanAlgebra
 from contact_duality.contact import overlap_contact
 from contact_duality.duality import AlgebraMorphism, identity_morphism
 from contact_duality.errors import StructureError
+from contact_duality.regions import RationalRegion
 from contact_duality.localcontact import nca_as_lca
 from contact_duality.cli import REGION_SAMPLE_CAP, _parse, _parsers, build_parser, main
 from corpus import discrete
@@ -220,6 +221,31 @@ class TestDualizeAndLift:
                            "--format", "dot")
         assert code == 0 and "->" in out
 
+    def test_dot_escapes_double_quotes_in_names(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"points": ['a"b', "c"],
+                                     "min_nbhd": {'a"b': ['a"b'], "c": ["c", 'a"b']}}))
+        assert run(capsys, "validate", str(space), "--format", "dot") == (0, (
+            'digraph specialization {\n  "a\\"b";\n  "c";\n  "c" -> "a\\"b";\n}\n'), "")
+        contact = tmp_path / "contact.json"
+        contact.write_text(json.dumps({"algebra": {"atoms": ['p"q', "r"]},
+                                       "contact": [['p"q', "r"]]}))
+        assert run(capsys, "validate", str(contact), "--format", "dot") == (0, (
+            'graph contact {\n  "p\\"q";\n  "r";\n  "p\\"q" -- "r";\n}\n'), "")
+
+    @pytest.mark.parametrize("name", ["c\\", "c\\\nd"], ids=["trailing", "before-a-newline"])
+    def test_dot_refuses_a_name_whose_backslash_it_would_read_as_an_escape(
+            self, name, tmp_path, capsys):
+        refusal = f"error: dot output cannot quote the name {name!r}\n"
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"points": ["a", name],
+                                     "min_nbhd": {"a": ["a"], name: [name]}}))
+        assert run(capsys, "validate", str(space), "--format", "dot") == (2, "", refusal)
+        contact = tmp_path / "contact.json"
+        contact.write_text(json.dumps({"algebra": {"atoms": [name, "r"]}, "contact": []}))
+        assert run(capsys, "validate", str(contact), "--format", "dot") == (2, "", refusal)
+        assert run(capsys, "clusters", str(contact), "--format", "dot") == (2, "", refusal)
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("atoms", [["", "q"], ["p,q", "p", "q"]])
     def test_dualize_refuses_atom_names_that_cannot_be_region_keys(self, atoms, fmt,
@@ -294,6 +320,19 @@ class TestMapsAndMorphisms:
             code, out, _ = run(capsys, "roundtrip", str(DATA / name))
             assert code == 0, name
             assert "pass" in out
+
+    def test_roundtrip_of_the_sierpinski_identity_fails_its_square_bare(self, capsys, tmp_path):
+        # b is open; the space is not Hausdorff, so neither side has a point
+        # embedding map and the square has nothing to compare
+        space = {"points": ["a", "b"], "min_nbhd": {"a": ["a", "b"], "b": ["b"]}}
+        path = tmp_path / "sierpinski_identity.json"
+        path.write_text(json.dumps({"source": space, "target": space,
+                                    "assign": {"a": "a", "b": "b"}}))
+        assert run(capsys, "roundtrip", str(path)) == (1, (
+            "roundtrip: map naturality: fail\n"
+            "  violated point-embedding\n"
+            "  violated point-embedding\n"
+            "  violated naturality-square\n"), "")
 
     def test_dual_map_refuses_non_perfect(self, capsys, tmp_path):
         sierp = jsonio.space_from_json(
@@ -443,6 +482,15 @@ class TestRegionVerb:
     def test_laws_accept_zero_samples(self, capsys):
         assert run(capsys, "region", "laws", "--samples", "0")[:2] == \
             (0, "0 samples, seed 1729: all laws hold\n")
+
+    def test_laws_report_every_failing_sample(self, monkeypatch, capsys):
+        # with touches always false, contact-reflexive fails on each nonempty f
+        monkeypatch.setattr(RationalRegion, "touches", lambda self, other: False)
+        argv = ("region", "laws", "--samples", "6", "--seed", "7")
+        assert run(capsys, *argv) == (1, "6 samples, seed 7: 5 failures\n", "")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out)) == (1, {"samples": 6, "seed": 7, "failures": [
+            {"law": "contact-reflexive", "sample": i} for i in (0, 1, 2, 4, 5)]})
 
     def test_region_errors(self, capsys):
         code, _, err = run(capsys, "region", "interpolate", "[0,2]", "[0,3]")
@@ -744,6 +792,28 @@ class TestParserRejections:
                                     "assign": {"a": "a", "zzz": "a"}}))
         assert run(capsys, "validate", str(path)) == \
             (2, "", f"error: {path}: map: assignments given for unknown points ['zzz']\n")
+
+    ONE_POINT = {"points": ["a"], "min_nbhd": {"a": ["a"]}}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"algebra": {"atoms": ["p", "q"]}, "contact": [["p"]]},
+         "contact: each pair must be a two-element array"),
+        ({"points": ["a"], "min_nbhd": {}}, "space: point 'a' has no minimal neighbourhood"),
+        ({"points": ["a"], "min_nbhd": {"a": "a"}},
+         "space: neighbourhoods must be arrays of point names"),
+        ({"points": ["a"], "min_nbhd": {"a": ["a"], "b": ["b"]}},
+         "space: neighbourhoods given for unknown points ['b']"),
+        ({"points": ["a", "a"], "min_nbhd": {"a": ["a"]}}, "point names must be distinct"),
+        ({"source": ONE_POINT, "target": ONE_POINT, "assign": {}},
+         "map: point 'a' is not assigned"),
+        ({"intervals": [["0"]]}, "region: each interval must be a two-element array"),
+    ], ids=["contact-pair", "missing-neighbourhood", "neighbourhood-not-an-array",
+            "neighbourhood-of-an-unknown-point", "repeated-point", "unassigned-point",
+            "interval-pair"])
+    def test_malformed_document_names_its_fault(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (2, "", f"error: {path}: {message}\n")
 
     def test_diagonal_contact_pair_rejected(self, tmp_path, capsys):
         doc = {"algebra": {"atoms": ["p", "q"]}, "contact": [["p", "p"]]}

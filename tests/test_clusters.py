@@ -21,6 +21,7 @@ from corpus import (
     small_algebra,
 )
 from contact_duality.errors import CapExceeded, StructureError
+from contact_duality.report import Report, Violation
 from contact_duality.localcontact import (
     alexandroff_extension,
     infinity_cluster,
@@ -56,6 +57,11 @@ class TestConditionChecker:
     def test_empty_set_rejected_as_k1(self):
         r = overlap_contact(small_algebra(1))
         assert not check_cluster(r, []).ok
+
+    def test_join_of_two_outsiders_fails_k2(self):
+        r = overlap_contact(small_algebra(2))
+        report = check_cluster(r, [0b11])  # holds p | q but neither p nor q
+        assert report == Report("cluster conditions", (Violation("K2", (("p",), ("q",))),))
 
 
 class TestSupportsCluster:

@@ -19,6 +19,7 @@ from corpus import (
 )
 from contact_duality.duality import (
     AlgebraMorphism,
+    DualSpace,
     check_closed_embedding,
     check_morphism,
     compose,
@@ -32,7 +33,7 @@ from contact_duality.duality import (
     verify_double_dual,
 )
 from contact_duality.errors import IntegrityError, Refusal, StructureError
-from contact_duality.report import Report
+from contact_duality.report import Report, Violation
 from contact_duality.localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
@@ -42,6 +43,7 @@ from contact_duality.localcontact import (
 from contact_duality.spaces import (
     FiniteSpace,
     SpaceMap,
+    SpacePredicates,
     map_predicates,
     rc_algebra,
     space_predicates,
@@ -273,6 +275,65 @@ class TestPointEmbedding:
                 (theirs.map, theirs.sigma, theirs.homeomorphism, theirs.report)
 
 
+def forged_dual(space, index):
+    """A dual space holding only what the point embedding reads: its space
+    and its point index, keyed by support."""
+    dual = DualSpace(None, space, (), (), "compact", None)
+    dual.__dict__["point_index"] = index
+    return dual
+
+
+class TestPointEmbeddingCertificate:
+    """Each violation of the homeomorphism certificate, on forged duals."""
+
+    sierpinski_dual = FiniteSpace(("{a}", "{b}"), (0b01, 0b11))
+
+    @staticmethod
+    def vee():
+        """a and b are open, c lies in the closure of both; the regular
+        closed atoms are {a,c} and {b,c}, so the supports are 1, 2 and 3.
+        A fresh space per call, as the embedding is kept on it."""
+        return FiniteSpace(("a", "b", "c"), (0b001, 0b010, 0b111))
+
+    def report(self, monkeypatch, space, dual, hausdorff=False):
+        monkeypatch.setattr(duality_module, "dual_space", lambda structure: dual)
+        if hausdorff:
+            monkeypatch.setattr(duality_module, "space_predicates",
+                                lambda space: SpacePredicates(True, True, True))
+        return point_embedding(space).report
+
+    def test_point_outside_the_dual_names_the_least_such_point(self, monkeypatch):
+        report = self.report(monkeypatch, discrete(3), forged_dual(discrete(3), {0b001: 0}))
+        assert report == Report("point embedding", (Violation("point-to-cluster", ("b",)),))
+
+    def test_two_points_on_one_cluster(self, monkeypatch):
+        report = self.report(monkeypatch, discrete(2),
+                             forged_dual(discrete(2), {0b01: 0, 0b10: 0}))
+        assert report == Report("point embedding homeomorphism", (Violation("bijective"),))
+
+    def test_a_map_onto_too_few_points_that_tears_a_neighbourhood(self, monkeypatch):
+        dual = forged_dual(discrete(2), {0b01: 0, 0b10: 0, 0b11: 1})
+        report = self.report(monkeypatch, self.vee(), dual, hausdorff=True)
+        assert report == Report("point embedding homeomorphism",
+                                (Violation("bijective"), Violation("continuous")))
+
+    def test_a_bijection_that_tears_a_neighbourhood(self, monkeypatch):
+        dual = forged_dual(discrete(3), {0b01: 0, 0b10: 1, 0b11: 2})
+        report = self.report(monkeypatch, self.vee(), dual, hausdorff=True)
+        assert report == Report("point embedding homeomorphism", (Violation("continuous"),))
+
+    def test_a_continuous_bijection_onto_a_coarser_space(self, monkeypatch):
+        dual = forged_dual(self.sierpinski_dual, {0b01: 0, 0b10: 1})
+        report = self.report(monkeypatch, discrete(2), dual)
+        assert report == Report("point embedding homeomorphism",
+                                (Violation("inverse-continuous"),))
+
+    def test_a_homeomorphism_onto_the_same_preorder(self, monkeypatch):
+        report = self.report(monkeypatch, self.vee(),
+                             forged_dual(self.vee(), {0b01: 0, 0b10: 1, 0b11: 2}), hausdorff=True)
+        assert report == Report("point embedding homeomorphism")
+
+
 class TestDualOfMap:
     def test_identity_dualizes_to_identity(self):
         for n in (1, 2, 3):
@@ -336,6 +397,12 @@ class TestCheckMorphism:
         ident = AlgebraMorphism(s, s, tuple(s.algebra.elements()))
         assert "PAL6" in {v.axiom for v in check_morphism(ident, "PAL").violations}
         assert check_morphism(ident, "DVAL").ok
+
+    def test_short_table_is_refused(self):
+        s = improper_overlap(2)
+        with pytest.raises(StructureError) as caught:
+            AlgebraMorphism(s, s, (0, 1, 2))
+        assert str(caught.value) == "morphism table must cover every source element"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(StructureError):
@@ -635,6 +702,28 @@ class TestDualOfMorphism:
         assert str(caught.value) == f"traced point set is not a cluster: {expected.render()}"
         assert cluster_walks == [traced]
 
+    def test_traced_cluster_outside_the_ideal_is_an_integrity_error(self, monkeypatch):
+        # a forged boundedness report lets the proper-ideal source dualize;
+        # the target point {q} traces the cluster {q}, unbounded there
+        source = proper_overlap(2, 0b01)
+        monkeypatch.setitem(source.__dict__, "bc_report", Report("BC axioms"))
+        monkeypatch.setattr(duality_module, "check_morphism",
+                            lambda phi, kind="PAL": Report("PAL axioms"))
+        phi = AlgebraMorphism(source, improper_overlap(2), tuple(source.algebra.elements()))
+        with pytest.raises(IntegrityError) as caught:
+            dual_of_morphism(phi)
+        assert str(caught.value) == "traced cluster is not bounded"
+
+    def test_dual_map_into_a_coarser_dual_is_an_integrity_error(self, monkeypatch):
+        source = improper_overlap(2)
+        dual = dual_space(source)
+        coarser = FiniteSpace(dual.space.points, (0b01, 0b11))
+        monkeypatch.setitem(source.__dict__, "dual", dataclasses.replace(dual, space=coarser))
+        phi = AlgebraMorphism(source, improper_overlap(2), tuple(source.algebra.elements()))
+        with pytest.raises(IntegrityError) as caught:
+            dual_of_morphism(phi)
+        assert str(caught.value) == "dual of a morphism failed the perfectness certificate"
+
 
 class TestClosedEmbedding:
     def test_identity_dual_is_an_embedding(self):
@@ -809,6 +898,61 @@ class TestRoundTrips:
         for _ in range(3):
             with pytest.raises(Refusal):
                 roundtrip_report(s)
+
+    def test_maps_between_spaces_of_different_sizes_and_their_duals(self):
+        for n, m in ((1, 3), (3, 2)):
+            for f in all_maps(discrete(n), discrete(m)):
+                assert roundtrip_report(f) == Report("roundtrip: map naturality")
+                assert roundtrip_report(dual_of_map(f)) == Report("roundtrip: morphism naturality")
+
+
+def swap_q_and_r(a):
+    return a & 0b001 | (a & 0b010) << 1 | (a & 0b100) >> 1
+
+
+class TestNaturalitySquares:
+    """Each square names the least entry at which its two sides differ."""
+
+    def test_map_without_point_embeddings_fails_its_square_bare(self):
+        sierpinski = FiniteSpace(("a", "b"), (0b01, 0b11))
+        report = roundtrip_report(SpaceMap.identity(sierpinski))
+        assert report == Report("roundtrip: map naturality", (
+            Violation("point-embedding"), Violation("point-embedding"),
+            Violation("naturality-square")))
+
+    def test_map_square_names_the_least_source_point(self, monkeypatch):
+        f = SpaceMap.identity(discrete(3))
+        back = dual_of_morphism(dual_of_map(f))
+        tampered = dataclasses.replace(back, assignment=(0, 2, 1))
+        monkeypatch.setattr(duality_module, "dual_of_morphism", lambda phi: tampered)
+        report = roundtrip_report(f)
+        assert report == Report("roundtrip: map naturality",
+                                (Violation("naturality-square", ("b",)),))
+        assert report.render() == \
+            "roundtrip: map naturality: fail\n  violated naturality-square at (b)"
+
+    def test_morphism_square_names_the_least_element(self, monkeypatch):
+        phi = identity_morphism(improper_overlap(3))
+        back = dual_of_map(dual_of_morphism(phi))
+        tampered = dataclasses.replace(back, table=tuple(map(swap_q_and_r, back.table)))
+        monkeypatch.setattr(duality_module, "dual_of_map", lambda g: tampered)
+        assert roundtrip_report(phi) == Report("roundtrip: morphism naturality",
+                                               (Violation("naturality-square", (("q",),)),))
+
+    def test_morphism_square_reads_no_entry_past_the_first_difference(self, monkeypatch):
+        # the target's regions swap q and r, and the region of top is no
+        # regular closed set: the square stops at q and never reads it
+        source, target = improper_overlap(3), improper_overlap(3)
+        phi = AlgebraMorphism(source, target, tuple(source.algebra.elements()))
+        assert roundtrip_report(target).ok  # the double dual is kept before the tampering
+        dual = dual_space(target)
+        regions = [dual.regions[swap_q_and_r(a)] for a in range(7)] + [1 << 3]
+        monkeypatch.setitem(target.__dict__, "dual",
+                            dataclasses.replace(dual, regions=tuple(regions)))
+        assert roundtrip_report(phi) == Report("roundtrip: morphism naturality",
+                                               (Violation("naturality-square", (("q",),)),))
+        with pytest.raises(StructureError, match="not regular closed"):
+            rc_algebra(dual.space).to_element(regions[7])
 
 
 class TestConnectednessCorrespondence:

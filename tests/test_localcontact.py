@@ -16,8 +16,8 @@ from corpus import (
     overlap_structures_with_proper_ideal,
     validated_structures,
 )
-from contact_duality.duality import check_morphism
-from contact_duality.errors import Refusal
+from contact_duality.duality import AlgebraMorphism, check_morphism
+from contact_duality.errors import Refusal, StructureError
 from contact_duality.localcontact import (
     BoundedIdeal,
     LocalContactAlgebra,
@@ -33,6 +33,14 @@ from contact_duality.localcontact import (
 def overlap_with_generator(n, generator):
     alg = FiniteBooleanAlgebra(tuple("pqrs"[:n]))
     return LocalContactAlgebra(overlap_contact(alg), BoundedIdeal(alg, generator))
+
+
+def test_ideal_on_another_algebra_is_refused():
+    contact = overlap_contact(FiniteBooleanAlgebra.of("p", "q"))
+    other = FiniteBooleanAlgebra.of("p", "q", "r")
+    with pytest.raises(StructureError) as caught:
+        LocalContactAlgebra(contact, BoundedIdeal(other, 0))
+    assert str(caught.value) == "ideal and contact relation live on different algebras"
 
 
 class TestBoundednessAxioms:
@@ -251,6 +259,8 @@ class TestOverlapCompanion:
             overlap_companion(s)
 
     def test_improper_target_breaks_ideal_covering_only(self):
+        # the identity into the overlap companion with the improper ideal
         s = overlap_with_generator(3, 0b011)
-        _, morphism = overlap_companion(s, improper_target=True, validate=False)
+        alg = s.algebra
+        morphism = AlgebraMorphism(s, nca_as_lca(overlap_contact(alg)), tuple(alg.elements()))
         assert [v.axiom for v in check_morphism(morphism).violations] == ["PAL4"]

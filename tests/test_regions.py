@@ -203,6 +203,12 @@ class TestAlgebraLaws:
             checked += 1
         assert checked > 100
 
+    def test_expand_refuses_a_margin_that_is_not_positive(self):
+        for margin in (0, Fr(-1, 2)):
+            with pytest.raises(StructureError) as caught:
+                expand(RationalRegion.of((0, 1)), margin)
+            assert str(caught.value) == "margin must be positive"
+
     def test_co_density_constructive(self):
         rng = random.Random(SEED + 3)
         for _ in range(500):

@@ -15,8 +15,10 @@ from contact_duality.spaces import (
     rc_algebra,
     regular_closed_sets,
     ro_algebra,
+    ro_law_violation,
     space_predicates,
 )
+from contact_duality.report import Violation
 from contact_duality.spaces import _verify_rc_tables
 from contact_duality import spaces as spaces_module
 
@@ -59,9 +61,23 @@ class TestSpaceBasics:
 
     def test_unknown_point_is_structural(self, sierpinski):
         with pytest.raises(StructureError):
-            sierpinski.set_of_names(["z"])
+            sierpinski.point_index("z")
         with pytest.raises(StructureError):
             sierpinski.check_set(0b100)
+
+    def test_refusals_name_what_is_wrong(self, sierpinski):
+        cases = [
+            (lambda: FiniteSpace(("a", "b"), (0b01,)),
+             "one minimal neighbourhood per point is required"),
+            (lambda: sierpinski.subspace(0), "a subspace needs at least one point"),
+            (lambda: SpaceMap(sierpinski, sierpinski, (0,)), "map must assign every source point"),
+            (lambda: SpaceMap.identity(sierpinski).after(SpaceMap.identity(discrete_space("ab"))),
+             "maps do not compose: middle spaces differ"),
+        ]
+        for build, message in cases:
+            with pytest.raises(StructureError) as caught:
+                build()
+            assert str(caught.value) == message
 
     def test_bool_is_not_a_point_set(self, sierpinski):
         for flag in (True, False):
@@ -175,6 +191,23 @@ class TestRegularClosedTableCheck:
             _verify_rc_tables(tampered)
 
 
+class TestRegularClosedDecomposition:
+    """The carrier checks of rc_algebra, on tampered carriers of discrete spaces."""
+
+    @pytest.mark.parametrize("points, carrier, message", [
+        ("ab", (0b00, 0b01, 0b10), "regular closed carrier is not a powerset of its atoms"),
+        ("ab", (0b00,), "a nonempty space has at least one regular closed atom"),
+        # the atoms are {a} and {b}, whose unions miss the top and hold {a,b}
+        ("abc", (0b000, 0b001, 0b010, 0b111),
+         "regular closed sets do not decompose over the atoms"),
+    ])
+    def test_tampered_carrier_is_refused(self, monkeypatch, points, carrier, message):
+        monkeypatch.setattr(spaces_module, "regular_closed_sets", lambda space: carrier)
+        with pytest.raises(StructureError) as caught:
+            rc_algebra(discrete_space(points))
+        assert str(caught.value) == message
+
+
 class TestRegularClosedCertificate:
     def test_no_element_walk_on_every_space_up_to_four_points(self, law_walks):
         spaces = [space for n in range(1, 5) for space in all_preorder_spaces(n)]
@@ -247,6 +280,17 @@ class TestRegularOpen:
         for space in spaces:
             assert ro_algebra(space).certificate.ok
         assert law_walks == []
+
+    def test_closure_map_that_is_no_bijection(self):
+        space = discrete_space("ab")
+        ro = ro_algebra(space)
+        tampered = dataclasses.replace(ro, to_closed={u: 0b11 for u in ro.carrier})
+        assert ro_law_violation(tampered, rc_algebra(space)) == Violation("bijection")
+
+    def test_enumeration_cap(self):
+        with pytest.raises(CapExceeded) as caught:
+            ro_algebra(discrete_space(tuple(f"x{i}" for i in range(17))))
+        assert str(caught.value) == "regular open enumeration capped at 16 points"
 
     def test_sixteen_point_discrete_space_certifies_quickly(self):
         space = discrete_space(tuple(f"x{i}" for i in range(16)))
@@ -364,6 +408,42 @@ class TestSubspacesAndDensity:
                     pairs += 1
         assert pairs == 2271
         assert law_walks == []
+
+    def test_tampered_closures_break_both_inverse_checks_at_the_least_set(self, monkeypatch):
+        space = discrete_space("abc")
+        rc_algebra(space)  # built from the true closures, then kept
+        table = list(space.closure_table)
+        table[0b010], table[0b100] = 0b100, 0b010
+        monkeypatch.setitem(space.__dict__, "closure_table", tuple(table))
+        iso = dense_subspace_isomorphism(space, space.everything)
+        assert iso.certificate.violations == (Violation("extend-restrict", (("b",),)),
+                                              Violation("restrict-extend", (("b",),)))
+
+    def test_tampered_closure_outside_the_carrier_breaks_the_extend_range(self, monkeypatch):
+        space = discrete_space("ab")
+        rc_algebra(space)
+        table = list(space.closure_table)
+        table[0b01] = 0b11
+        monkeypatch.setitem(space.__dict__, "closure_table", tuple(table))
+        iso = dense_subspace_isomorphism(space, space.everything)
+        assert iso.certificate.violations == (Violation("extend-range"),)
+
+    def test_mutually_inverse_tables_that_break_a_law(self, monkeypatch):
+        # both tables are traces followed by the involution swapping {a} and
+        # {a,b}: they pass the range and inverse checks, and the trace law walk
+        # names the least pair whose join it breaks
+        swap = {0b001: 0b011, 0b011: 0b001}
+        atom_join = spaces_module.atom_join
+        monkeypatch.setattr(spaces_module, "atom_join",
+                            lambda values, m: swap.get(atom_join(values, m), atom_join(values, m)))
+        iso = dense_subspace_isomorphism(discrete_space("abc"), 0b111)
+        assert iso.certificate.violations == (Violation("join", (("a",), ("b",))),)
+
+    def test_tampered_subspace_breaks_both_ranges(self, monkeypatch, sierpinski):
+        monkeypatch.setattr(FiniteSpace, "subspace", lambda self, subset: sierpinski)
+        iso = dense_subspace_isomorphism(discrete_space("ab"), 0b11)
+        assert iso.certificate.violations == (Violation("restrict-range"),
+                                              Violation("extend-range"))
 
     def test_sixteen_point_discrete_space_certifies_quickly(self):
         space = discrete_space(tuple(f"x{i}" for i in range(16)))
