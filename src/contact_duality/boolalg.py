@@ -9,8 +9,9 @@ accidental mixing of algebras detectable.  The atom count, size and top are
 computed once per algebra, so that check is a few comparisons.
 
 atom_join and atom_unions join a value per atom over the atoms of a mask,
-and subset_joins a value per element over the elements below a mask; contact
-reach, regular closed point sets, dense-subspace traces, dual-space regions
+and subset_joins a value per element over the elements below a mask;
+transpose reads a relation kept as per-position rows from the other side.
+Contact reach, point-set closures, images and preimages, dual-space regions
 and the morphism calculus's lower joins use them.
 
 The default atom cap of 24 keeps exhaustive element enumeration feasible in
@@ -145,6 +146,18 @@ def atom_unions(values) -> tuple[int, ...]:
         low = a & -a
         table.append(table[a ^ low] | values[low.bit_length() - 1])
     return tuple(table)
+
+
+def transpose(masks, width: int) -> tuple[int, ...]:
+    """For each i below width, the mask of the positions j whose masks[j]
+    holds bit i; every bit of every mask must lie below width."""
+    out = [0] * width
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    return tuple(out)
 
 
 def subset_joins(table) -> list[int]:

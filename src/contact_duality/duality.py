@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-from .boolalg import atom_unions, cached_property, subset_joins
+from .boolalg import atom_unions, cached_property, subset_joins, transpose
 from .clusters import Cluster, check_cluster, grill_clusters, supports_cluster
 from .errors import IntegrityError, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, alexandroff_extension, infinity_cluster, nca_as_lca
@@ -234,9 +234,8 @@ def _build_dual_space(structure: LocalContactAlgebra) -> DualSpace:
 
     names = tuple("{" + ",".join(c.support_names()) + "}" for c in points)
     # The region of a holds the points whose support meets a: it is the join
-    # of the regions of a's atoms.
-    regions = atom_unions([sum(1 << i for i, c in enumerate(points) if c.support >> k & 1)
-                           for k in range(alg.atom_count)])
+    # of the regions of a's atoms, each the points whose support holds it.
+    regions = atom_unions(transpose([c.support for c in points], alg.atom_count))
     # The regions generate the closed sets under union and intersection, so
     # point j lies in the least open set around point i exactly when every
     # region holding j holds i, that is, when j's support lies inside i's.
@@ -314,8 +313,7 @@ def point_embedding(space: FiniteSpace) -> PointEmbedding:
 
 def _build_point_embedding(space: FiniteSpace) -> PointEmbedding:
     rc = rc_algebra(space)
-    sigma = tuple(sum(1 << k for k, atom in enumerate(rc.atoms) if atom >> x & 1)
-                  for x in range(space.point_count))
+    sigma = transpose(rc.atoms, space.point_count)
     if not space_predicates(space).hausdorff:
         return PointEmbedding(
             space, rc, sigma, None, None, False,
@@ -362,7 +360,7 @@ def dual_of_map(f: SpaceMap) -> AlgebraMorphism:
     # every entry is read from tables: the interior of P is the complement
     # of the closure of its complement, and preimage preserves unions
     top, cl_tgt, cl_src = f.target.everything, f.target.closure_table, f.source.closure_table
-    pre = atom_unions([f.preimage(1 << y) for y in range(f.target.point_count)])
+    pre = atom_unions(f.fibres)
     table = tuple(rc_src.to_element(cl_src[pre[top ^ cl_tgt[top ^ pointset]]])
                   for pointset in rc_tgt.pointsets)
     return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), table)

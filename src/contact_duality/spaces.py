@@ -1,9 +1,10 @@
 """Finite topological spaces in minimal-neighbourhood form, and maps.
 
 A finite space is determined by the minimal open set around each point, so a
-space is a point list plus one mask per point.  Closure and interior are then
-quadratic scans.  Point sets are int masks over the point list, mirroring the
-element encoding of the Boolean algebra kernel.
+space is a point list plus one mask per point.  Closure, interior, and a
+map's images and preimages join per-point rows over the points of a set, in
+time linear in its size.  Point sets are int masks over the point list,
+mirroring the element encoding of the Boolean algebra kernel.
 
 The regular closed sets of a finite space form a Boolean algebra carrying the
 standard contact relation (nonempty intersection); rc_algebra materializes it
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, cached_property
+from .boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, cached_property, transpose
 from .contact import ContactRelation
 from .errors import CapExceeded, Refusal, StructureError
 from .localcontact import LocalContactAlgebra, nca_as_lca
@@ -89,21 +90,17 @@ class FiniteSpace:
         self.check_set(m)
         return tuple(self.points[i] for i in range(self.point_count) if m >> i & 1)
 
+    @cached_property
+    def point_closures(self) -> tuple[int, ...]:
+        """The closure of each point: the points whose neighbourhood holds it."""
+        return transpose(self.min_nbhd, self.point_count)
+
     def closure(self, m: int) -> int:
-        self.check_set(m)
-        out = 0
-        for x, u in enumerate(self.min_nbhd):
-            if u & m:
-                out |= 1 << x
-        return out
+        return atom_join(self.point_closures, self.check_set(m))
 
     def interior(self, m: int) -> int:
-        self.check_set(m)
-        out = 0
-        for x, u in enumerate(self.min_nbhd):
-            if u & m == u:
-                out |= 1 << x
-        return out
+        top = self.everything
+        return top ^ atom_join(self.point_closures, top ^ self.check_set(m))
 
     def is_open(self, m: int) -> bool:
         return self.interior(m) == m
@@ -115,7 +112,7 @@ class FiniteSpace:
     def closure_table(self) -> tuple[int, ...]:
         """The closure of every point set, by mask: closure preserves unions,
         so the closure of m joins the closures of its points."""
-        return atom_unions([self.closure(1 << x) for x in range(self.point_count)])
+        return atom_unions(self.point_closures)
 
     @cached_property
     def rc(self) -> "RegularClosedAlgebra":
@@ -131,20 +128,13 @@ class FiniteSpace:
 
     def subspace(self, subset: int) -> "FiniteSpace":
         """Induced space on a nonempty point subset."""
-        self.check_set(subset)
+        names = self.names_of(subset)
         if subset == 0:
             raise StructureError("a subspace needs at least one point")
         kept = [i for i in range(self.point_count) if subset >> i & 1]
-        position = {i: k for k, i in enumerate(kept)}
-        names = tuple(self.points[i] for i in kept)
-        nbhd = []
-        for i in kept:
-            mask = 0
-            for j in kept:
-                if self.min_nbhd[i] >> j & 1:
-                    mask |= 1 << position[j]
-            nbhd.append(mask)
-        return FiniteSpace(names, tuple(nbhd))
+        # per point, its singleton in the subspace (0 for a dropped point)
+        position = transpose([1 << i for i in kept], self.point_count)
+        return FiniteSpace(names, tuple(atom_join(position, self.min_nbhd[i]) for i in kept))
 
 
 def discrete_space(names) -> FiniteSpace:
@@ -168,19 +158,21 @@ class SpaceMap:
     def __call__(self, index: int) -> int:
         return self.assignment[index]
 
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        """The image of each source point, as a target point set."""
+        return tuple(1 << v for v in self.assignment)
+
+    @cached_property
+    def fibres(self) -> tuple[int, ...]:
+        """The preimage of each target point, as a source point set."""
+        return transpose(self.images, self.target.point_count)
+
     def image(self, m: int) -> int:
-        out = 0
-        for i, v in enumerate(self.assignment):
-            if m >> i & 1:
-                out |= 1 << v
-        return out
+        return atom_join(self.images, self.source.check_set(m))
 
     def preimage(self, m: int) -> int:
-        out = 0
-        for i, v in enumerate(self.assignment):
-            if m >> v & 1:
-                out |= 1 << i
-        return out
+        return atom_join(self.fibres, self.target.check_set(m))
 
     @staticmethod
     def identity(space: FiniteSpace) -> "SpaceMap":
@@ -207,17 +199,16 @@ def space_predicates(space: FiniteSpace) -> SpacePredicates:
 
     A finite space is connected exactly when its points are linked by the
     graph with an edge x-y for each y in min_nbhd[x]: the component of a point
-    grows by every minimal neighbourhood it meets, and a component that meets
-    no further one is clopen.  A finite Hausdorff space is discrete; a finite
-    space is extremally disconnected exactly when closures of the basic opens
-    are open; finite spaces are always compact.
+    grows by every minimal neighbourhood it meets, those of the points of its
+    closure, and a component that meets no further one is clopen.  A finite
+    Hausdorff space is discrete; a finite space is extremally disconnected
+    exactly when closures of the basic opens are open; finite spaces are
+    always compact.
     """
     component, grown = 0, 1
     while grown != component:
         component = grown
-        for u in space.min_nbhd:
-            if u & component:
-                grown |= u
+        grown = atom_join(space.min_nbhd, space.closure(component))
     connected = component == space.everything
     hausdorff = all(u == 1 << i for i, u in enumerate(space.min_nbhd))
     extremal = all(space.is_open(space.closure(u)) for u in space.min_nbhd)
@@ -247,8 +238,7 @@ def map_predicates(f: SpaceMap) -> MapPredicates:
         f.image(f.source.min_nbhd[x]) | f.target.min_nbhd[f(x)] == f.target.min_nbhd[f(x)]
         for x in range(f.source.point_count)
     )
-    closed = all(f.target.is_closed(f.image(f.source.closure(1 << x)))
-                 for x in range(f.source.point_count))
+    closed = all(f.target.is_closed(f.image(c)) for c in f.source.point_closures)
     injective = len(set(f.assignment)) == f.source.point_count
     surjective = len(set(f.assignment)) == f.target.point_count
     dense = f.target.closure(f.image(f.source.everything)) == f.target.everything
@@ -400,7 +390,10 @@ class RegularClosedAlgebra:
 
 def regular_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
     """The fixpoints of closure-of-interior, read off the closure table: the
-    interior of m is the complement of the closure of the complement of m."""
+    interior of m is the complement of the closure of the complement of m.
+    Beyond RC_POINT_CAP points it refuses before building the 2ⁿ table."""
+    if space.point_count > RC_POINT_CAP:
+        raise CapExceeded(f"regular closed enumeration capped at {RC_POINT_CAP} points")
     top, cl = space.everything, space.closure_table
     return tuple(m for m in range(top + 1) if cl[top ^ cl[top ^ m]] == m)
 
@@ -423,9 +416,7 @@ def _build_rc_algebra(space: FiniteSpace) -> RegularClosedAlgebra:
     Contact between atoms is plain intersection, and the lift of that atom
     relation is verified to agree with intersection on the whole carrier.
     """
-    if space.point_count > RC_POINT_CAP:
-        raise CapExceeded(f"regular closed enumeration capped at {RC_POINT_CAP} points")
-    carrier = regular_closed_sets(space)
+    carrier = regular_closed_sets(space)  # refuses spaces beyond RC_POINT_CAP
     # The carrier ascends, so every subset of f comes before f: f is minimal
     # when no atom found before it lies below it.
     minimal = []
@@ -563,14 +554,10 @@ def dense_subspace_isomorphism(space: FiniteSpace, subset: int) -> DenseSubspace
     big, small = rc_algebra(space), rc_algebra(sub)
     big_rc, small_rc = big.carrier, small.carrier
 
-    # each kept point's singleton in the other space; other points map to 0
-    kept = [i for i in range(space.point_count) if subset >> i & 1]
-    to_small = [0] * space.point_count
-    for k, i in enumerate(kept):
-        to_small[i] = 1 << k
-    to_big = [1 << i for i in kept]
-    restrict = {f: atom_join(to_small, f) for f in big_rc}
-    extend = {g: space.closure_table[atom_join(to_big, g)] for g in small_rc}
+    # the trace is the preimage under the inclusion, the extension the closure of the image
+    inclusion = SpaceMap(sub, space, tuple(i for i in range(space.point_count) if subset >> i & 1))
+    restrict = {f: inclusion.preimage(f) for f in big_rc}
+    extend = {g: space.closure_table[inclusion.image(g)] for g in small_rc}
 
     violations = []
     if sorted(restrict.values()) != sorted(small_rc):

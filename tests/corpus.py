@@ -21,6 +21,7 @@ CORPUS_SEED = 1729
 
 _NAMES = "pqrstuvwxyz"
 _POINTS = "abcdefgh"
+_SAMPLED_POINTS = _POINTS + "ijklmnop"  # samples reach the 16-point regular closed cap
 
 
 def _first(letters: str, n: int) -> tuple[str, ...]:
@@ -120,7 +121,7 @@ def all_preorder_spaces(n: int) -> list[FiniteSpace]:
 def sampled_preorder_spaces(n: int, count: int, seed: int = CORPUS_SEED) -> list[FiniteSpace]:
     """Seeded sample of labeled spaces, via transitive closures of random relations."""
     rng = random.Random(seed)
-    names = _first(_POINTS, n)
+    names = _first(_SAMPLED_POINTS, n)
     seen = set()
     spaces = []
     while len(spaces) < count:

@@ -16,26 +16,55 @@ code is 0 whatever the suite did.  Code that the tests run in a subprocess is
 not traced, so a line only a subprocess runs is listed as never run.  It
 needs only the standard library and pytest, and pytest does not collect it.
 
-    python tests/linemap.py
+With --traffic the same tracer follows CLI and benchmark traffic in place of
+the suite: every command line of the golden transcript (tests/test_golden.py),
+then the first items of the roundtrip and cli benchmark workloads
+(bench/workloads.py, read only) at seed 1729, each run in process as the
+benchmark runs it.  The lines it lists are the ones no such traffic reaches.
+
+    python tests/linemap.py [--traffic]
 """
 
 from __future__ import annotations
 
 import contextlib
 import dis
+import itertools
 import json
 import os
 import pathlib
 import sys
+import tempfile
 import threading
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 _NEW_LOCALS = 0x2  # CO_NEWLOCALS: set on functions, lambdas and comprehensions only
+TRAFFIC_SEED = 1729
+TRAFFIC_ITEMS = (("roundtrip", 800), ("cli", 1500))  # benchmark workload, items run
 
 
-def _trace_suite() -> dict:
-    """Run tier-1 under the tracer; the lines run, by code object."""
+def _suite() -> None:
+    import pytest
+
+    pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+
+
+def _traffic() -> None:
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "bench")]
+    import test_golden
+    import workloads
+
+    test_golden.transcript()
+    with tempfile.TemporaryDirectory(prefix="linemap-") as workdir:
+        for name, count in TRAFFIC_ITEMS:
+            workload = workloads.WORKLOADS[name](TRAFFIC_SEED, pathlib.Path(workdir))
+            for item in itertools.islice(workload.items(), count):
+                workload.run(item)
+
+
+def _trace(run) -> dict:
+    """Call run under the tracer; the lines run, by code object."""
     prefix = str(SRC) + os.sep
     hits = {}  # code object -> set of lines run, or None for code outside src/
 
@@ -54,15 +83,13 @@ def _trace_suite() -> dict:
             return line
         return line
 
-    import pytest
-
     sys.path.insert(0, str(SRC))
     os.chdir(ROOT)
     threading.settrace(call)
     sys.settrace(call)
     try:
         with contextlib.redirect_stdout(sys.stderr):
-            pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+            run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -94,8 +121,10 @@ def _functions(code):
 
 
 def main() -> int:
+    if sys.argv[1:] not in ([], ["--traffic"]):
+        sys.exit("usage: python tests/linemap.py [--traffic]")
     run = {}
-    for code, lines in _trace_suite().items():
+    for code, lines in _trace(_traffic if sys.argv[1:] else _suite).items():
         run.setdefault(_key(code), set()).update(lines)
     never_run = {}
     for path in sorted(SRC.rglob("*.py")):

@@ -69,6 +69,9 @@ _ONE_PASS = "tests/test_cli.py::TestOnePassParse::test_equals_the_two_pass_parse
 _KIND_ORDER = ("tests/test_cli.py::TestParserRejections"
                "::test_kind_is_read_by_the_first_marker_field_in_table_order")
 _DUAL_MAPS = f"{_ORACLES}::TestDualOfMapTables::test_every_map_between_spaces_up_to_three_points"
+_KERNEL = f"{_ORACLES}::TestPointSetKernel"
+_MASK_CHECKS = ("tests/test_spaces.py::TestSpaceBasics"
+                "::test_image_and_preimage_refuse_a_mask_beyond_their_space",)
 _SUBSET_JOINS = tuple(
     f"tests/test_boolalg.py::test_subset_joins_equal_the_submask_join_on_{tables}"
     for tables in ("every_table_up_to_two_atoms", "seeded_tables"))
@@ -235,9 +238,10 @@ MUTANTS = (
            ("tests/test_duality.py::TestDualOfMorphism"
             "::test_traced_set_that_is_no_cluster_is_walked_for_its_witness",)),
     Mutant("sigma-from-atoms-missing-the-point", f"{PACKAGE}/duality.py",
-           "for k, atom in enumerate(rc.atoms) if atom >> x & 1)",
-           "for k, atom in enumerate(rc.atoms) if not atom >> x & 1)",
-           ("tests/test_duality.py::TestPointEmbedding::test_discrete_spaces_certified",)),
+           "sigma = transpose(rc.atoms, space.point_count)",
+           "sigma = tuple(rc.algebra.top ^ s for s in transpose(rc.atoms, space.point_count))",
+           ("tests/test_duality.py::TestPointEmbedding::test_discrete_spaces_certified",
+            f"{_KERNEL}::test_point_supports_equal_the_per_point_scan")),
     Mutant("regular-closed-sets-skip-the-interior", f"{PACKAGE}/spaces.py",
            "if cl[top ^ cl[top ^ m]] == m)",
            "if cl[m] == m)",
@@ -286,12 +290,12 @@ MUTANTS = (
            ("tests/test_spaces.py::TestSubspacesAndDensity"
             "::test_no_element_walk_on_every_dense_subset_up_to_four_points",)),
     Mutant("restrict-table-keeps-the-point-index", f"{PACKAGE}/spaces.py",
-           "to_small[i] = 1 << k",
-           "to_small[i] = 1 << i",
+           "restrict = {f: inclusion.preimage(f) for f in big_rc}",
+           "restrict = {f: f & subset for f in big_rc}",
            (_DENSE,)),
     Mutant("extend-table-by-subspace-index", f"{PACKAGE}/spaces.py",
-           "to_big = [1 << i for i in kept]",
-           "to_big = [1 << k for k, i in enumerate(kept)]",
+           "extend = {g: space.closure_table[inclusion.image(g)] for g in small_rc}",
+           "extend = {g: space.closure_table[g] for g in small_rc}",
            (_DENSE,)),
     Mutant("extension-rebuilt-per-call", f"{PACKAGE}/localcontact.py",
            "@cached_property\n    def extension(",
@@ -320,8 +324,8 @@ MUTANTS = (
            "pre[cl_tgt[pointset]]",
            (_DUAL_MAPS,)),
     Mutant("dual-of-map-preimages-from-images", f"{PACKAGE}/duality.py",
-           "[f.preimage(1 << y) for y",
-           "[f.image(1 << y) for y",
+           "pre = atom_unions(f.fibres)",
+           "pre = atom_unions(f.images)",
            (_DUAL_MAPS,)),
     Mutant("to-element-indexes-the-atoms", f"{PACKAGE}/spaces.py",
            "for element, pointset in enumerate(self.pointsets)}",
@@ -479,6 +483,53 @@ MUTANTS = (
            "    if False:\n        raise IntegrityError(",
            ("tests/test_duality.py::TestDualOfMorphism"
             "::test_dual_map_into_a_coarser_dual_is_an_integrity_error",)),
+    Mutant("transpose-sets-the-row-bit", f"{PACKAGE}/boolalg.py",
+           "out[low.bit_length() - 1] |= 1 << j",
+           "out[low.bit_length() - 1] |= low",
+           (f"{_KERNEL}::test_transpose_equals_the_per_bit_scan_on_seeded_mask_lists",)),
+    Mutant("closure-joins-the-neighbourhoods", f"{PACKAGE}/spaces.py",
+           "return atom_join(self.point_closures, self.check_set(m))",
+           "return atom_join(self.min_nbhd, self.check_set(m))",
+           (f"{_KERNEL}::test_closure_and_interior_equal_the_scans_on_every_point_set",)),
+    Mutant("interior-without-the-outer-complement", f"{PACKAGE}/spaces.py",
+           "return top ^ atom_join(self.point_closures, top ^ self.check_set(m))",
+           "return atom_join(self.point_closures, top ^ self.check_set(m))",
+           (f"{_KERNEL}::test_closure_and_interior_equal_the_scans_on_every_point_set",)),
+    Mutant("subspace-keeps-the-point-index", f"{PACKAGE}/spaces.py",
+           "position = transpose([1 << i for i in kept], self.point_count)",
+           "position = [1 << i for i in range(self.point_count)]",
+           (f"{_KERNEL}::test_subspaces_equal_the_nested_loop_on_every_subset",)),
+    Mutant("preimage-joins-the-images", f"{PACKAGE}/spaces.py",
+           "return atom_join(self.fibres, self.target.check_set(m))",
+           "return atom_join(self.images, self.target.check_set(m))",
+           (f"{_KERNEL}::test_images_and_preimages_equal_the_scans_on_every_mask",)),
+    Mutant("image-skips-the-mask-check", f"{PACKAGE}/spaces.py",
+           "return atom_join(self.images, self.source.check_set(m))",
+           "return atom_join(self.images, m)",
+           _MASK_CHECKS),
+    Mutant("preimage-skips-the-mask-check", f"{PACKAGE}/spaces.py",
+           "return atom_join(self.fibres, self.target.check_set(m))",
+           "return atom_join(self.fibres, m)",
+           _MASK_CHECKS),
+    Mutant("regular-closed-sets-skip-the-cap", f"{PACKAGE}/spaces.py",
+           "    if space.point_count > RC_POINT_CAP:\n"
+           "        raise CapExceeded(f\"regular closed enumeration",
+           "    if False:\n"
+           "        raise CapExceeded(f\"regular closed enumeration",
+           ("tests/test_spaces.py::TestRegularClosed"
+            "::test_regular_closed_sets_refuse_beyond_the_cap_before_the_closure_table",)),
+    Mutant("component-grows-only-forward", f"{PACKAGE}/spaces.py",
+           "grown = atom_join(space.min_nbhd, space.closure(component))",
+           "grown = atom_join(space.min_nbhd, component)",
+           (f"{_ORACLES}::TestSpacePredicates::test_connectedness_equals_the_clopen_scan",)),
+    Mutant("closedness-from-the-neighbourhoods", f"{PACKAGE}/spaces.py",
+           "closed = all(f.target.is_closed(f.image(c)) for c in f.source.point_closures)",
+           "closed = all(f.target.is_closed(f.image(c)) for c in f.source.min_nbhd)",
+           (f"{_ORACLES}::TestSpacePredicates::test_closedness_equals_the_closed_set_scan",)),
+    Mutant("dual-regions-from-untransposed-supports", f"{PACKAGE}/duality.py",
+           "regions = atom_unions(transpose([c.support for c in points], alg.atom_count))",
+           "regions = atom_unions([c.support for c in points][:alg.atom_count])",
+           (f"{_KERNEL}::test_dual_regions_equal_the_per_atom_scan",)),
 )
 
 

@@ -16,7 +16,10 @@ The region calculator's sweeps over the normal form are checked against
 the pairwise definitions they replaced, its endpoint order against
 Fraction's own, its stored endpoints for being plain Fractions or its two
 infinities, and the region laws sampler against the same draws made with
-Fraction arithmetic.  The polynomial connectedness and closed-map tests and
+Fraction arithmetic.  Closure, interior, images, preimages, subspaces, the
+dense-subspace traces and the dual's region and point-support tables, all
+read from transposed per-point rows, are checked against the per-point
+loops they replaced.  The polynomial connectedness and closed-map tests and
 the regular closed sets from one closure table are checked against the
 scans over all point sets, the regular closed atoms against the all-pairs
 scan, the dual of a map from closure and preimage tables against the
@@ -34,7 +37,7 @@ from fractions import Fraction
 import pytest
 
 from contact_duality import cli, jsonio
-from contact_duality.boolalg import FiniteBooleanAlgebra, atom_unions
+from contact_duality.boolalg import FiniteBooleanAlgebra, atom_join, atom_unions, transpose
 from contact_duality.clusters import check_cluster, grill_clusters
 from contact_duality import contact
 from contact_duality.contact import (
@@ -64,6 +67,7 @@ from contact_duality.duality import (
     dual_of_map,
     dual_of_morphism,
     dual_space,
+    point_embedding,
     regularize,
     verify_double_dual,
 )
@@ -612,21 +616,129 @@ def oracle_random_region(rng):
     return oracle_merged(oracle_random_spans(rng))
 
 
+# The point-set operators of finite spaces and maps as scans over every
+# point, a subspace and the dense-subspace traces as per-position loops, and
+# the dual's region, point-support and preimage tables as one comprehension
+# per row: the loops that per-point rows read by atom_join, transposed by
+# boolalg.transpose, replaced.
+
+
+def oracle_transpose(masks, width):
+    return tuple(sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(width))
+
+
+def oracle_closure(space, m):
+    out = 0
+    for x, u in enumerate(space.min_nbhd):
+        if u & m:
+            out |= 1 << x
+    return out
+
+
+def oracle_interior(space, m):
+    out = 0
+    for x, u in enumerate(space.min_nbhd):
+        if u & m == u:
+            out |= 1 << x
+    return out
+
+
+def oracle_image(f, m):
+    out = 0
+    for i, v in enumerate(f.assignment):
+        if m >> i & 1:
+            out |= 1 << v
+    return out
+
+
+def oracle_preimage(f, m):
+    out = 0
+    for i, v in enumerate(f.assignment):
+        if m >> v & 1:
+            out |= 1 << i
+    return out
+
+
+def oracle_subspace(space, subset):
+    kept = [i for i in range(space.point_count) if subset >> i & 1]
+    position = {i: k for k, i in enumerate(kept)}
+    names = tuple(space.points[i] for i in kept)
+    nbhd = []
+    for i in kept:
+        mask = 0
+        for j in kept:
+            if space.min_nbhd[i] >> j & 1:
+                mask |= 1 << position[j]
+        nbhd.append(mask)
+    return FiniteSpace(names, tuple(nbhd))
+
+
+def oracle_trace_tables(space, subset):
+    """dense_subspace_isomorphism's restrict and extend tables, from each
+    kept point's singleton in the other space (other points map to 0)."""
+    big = rc_algebra(space).carrier
+    small = rc_algebra(oracle_subspace(space, subset)).carrier
+    kept = [i for i in range(space.point_count) if subset >> i & 1]
+    to_small = [0] * space.point_count
+    for k, i in enumerate(kept):
+        to_small[i] = 1 << k
+    to_big = [1 << i for i in kept]
+    restrict = {f: atom_join(to_small, f) for f in big}
+    extend = {g: oracle_closure(space, atom_join(to_big, g)) for g in small}
+    return restrict, extend
+
+
+def oracle_regions(dual):
+    points = dual.clusters
+    return atom_unions([sum(1 << i for i, c in enumerate(points) if c.support >> k & 1)
+                        for k in range(dual.source.algebra.atom_count)])
+
+
+def oracle_sigma(space):
+    rc = rc_algebra(space)
+    return tuple(sum(1 << k for k, atom in enumerate(rc.atoms) if atom >> x & 1)
+                 for x in range(space.point_count))
+
+
+def oracle_preimage_unions(f):
+    return atom_unions([oracle_preimage(f, 1 << y) for y in range(f.target.point_count)])
+
+
 # Connectedness and closedness of finite spaces and maps by scans over all
 # 2^n point sets.
 
 
+def oracle_is_open(space, m):
+    return oracle_interior(space, m) == m
+
+
+def oracle_is_closed(space, m):
+    return oracle_closure(space, m) == m
+
+
 def oracle_connected(space):
-    return not any(space.is_open(m) and space.is_closed(m) for m in range(1, space.everything))
+    return not any(oracle_is_open(space, m) and oracle_is_closed(space, m)
+                   for m in range(1, space.everything))
+
+
+def oracle_component(space):
+    """The component of the first point, grown by every neighbourhood it meets."""
+    component, grown = 0, 1
+    while grown != component:
+        component = grown
+        for u in space.min_nbhd:
+            if u & component:
+                grown |= u
+    return component
 
 
 def oracle_closed_sets(space):
-    return tuple(m for m in range(space.everything + 1) if space.is_closed(m))
+    return tuple(m for m in range(space.everything + 1) if oracle_is_closed(space, m))
 
 
 def oracle_regular_closed_sets(space):
-    cl, iv = space.closure, space.interior
-    return tuple(m for m in range(space.everything + 1) if cl(iv(m)) == m)
+    return tuple(m for m in range(space.everything + 1)
+                 if oracle_closure(space, oracle_interior(space, m)) == m)
 
 
 def oracle_rc_atoms(carrier):
@@ -636,7 +748,7 @@ def oracle_rc_atoms(carrier):
 
 
 def oracle_closed(f):
-    return all(f.target.is_closed(f.image(s)) for s in oracle_closed_sets(f.source))
+    return all(oracle_is_closed(f.target, oracle_image(f, s)) for s in oracle_closed_sets(f.source))
 
 
 # The dual of a map one regular closed set at a time, with three point scans
@@ -663,33 +775,9 @@ def oracle_dual_of_map(f):
     rc_tgt = rc_algebra(f.target)
     table = []
     for pointset in rc_tgt.pointsets:
-        pulled = f.source.closure(f.preimage(f.target.interior(pointset)))
+        pulled = oracle_closure(f.source, oracle_preimage(f, oracle_interior(f.target, pointset)))
         table.append(oracle_to_element(rc_src, pulled))
     return AlgebraMorphism(rc_tgt.lca(), rc_src.lca(), tuple(table))
-
-
-# Point sets rewritten between a space and its subspace one set at a time:
-# the per-set loops that dense_subspace_isomorphism's tables replaced.
-
-
-def oracle_restrict_set(space, subset, m):
-    """Rewrite a point set of space as a set of the subspace on subset."""
-    kept = [i for i in range(space.point_count) if subset >> i & 1]
-    out = 0
-    for k, i in enumerate(kept):
-        if m >> i & 1:
-            out |= 1 << k
-    return out
-
-
-def oracle_embed_set(space, subset, m):
-    """Rewrite a point set of the subspace on subset as a set of space."""
-    kept = [i for i in range(space.point_count) if subset >> i & 1]
-    out = 0
-    for k, i in enumerate(kept):
-        if m >> k & 1:
-            out |= 1 << i
-    return out
 
 
 # helpers -------------------------------------------------------------------
@@ -1359,6 +1447,86 @@ class TestSampledRegions:
         assert {"apart", "touching", "overlapping", "nested"} <= kinds
 
 
+# point-set kernel --------------------------------------------------------------
+
+
+class TestPointSetKernel:
+    """Closure, interior, images, preimages, subspaces and the dual's tables,
+    read from transposed per-point rows, equal the loops they replaced."""
+
+    SPACES = [space for n in (1, 2, 3, 4) for space in all_preorder_spaces(n)]
+
+    def test_transpose_equals_the_per_bit_scan_on_seeded_mask_lists(self):
+        rng = random.Random(CORPUS_SEED)
+        for width in range(1, 17):
+            for _ in range(24):
+                masks = [rng.getrandbits(width) for _ in range(rng.randrange(18))]
+                rows = transpose(masks, width)
+                assert rows == oracle_transpose(masks, width), (masks, width)
+                assert transpose(rows, len(masks)) == tuple(masks)
+
+    def test_closure_and_interior_equal_the_scans_on_every_point_set(self):
+        assert len(self.SPACES) == 389
+        for space in self.SPACES:
+            sets = range(space.everything + 1)
+            closures = [oracle_closure(space, m) for m in sets]
+            assert [space.closure(m) for m in sets] == closures, space.min_nbhd
+            assert list(space.closure_table) == closures, space.min_nbhd
+            assert [space.interior(m) for m in sets] == [oracle_interior(space, m) for m in sets]
+
+    def test_subspaces_equal_the_nested_loop_on_every_subset(self):
+        for space in self.SPACES:
+            for subset in range(1, space.everything + 1):
+                assert space.subspace(subset) == oracle_subspace(space, subset), (space.min_nbhd,
+                                                                                  subset)
+
+    def test_images_and_preimages_equal_the_scans_on_every_mask(self):
+        spaces = [space for n in (1, 2, 3) for space in all_preorder_spaces(n)]
+        maps = 0
+        for source in spaces:
+            for target in spaces:
+                for f in all_maps(source, target):
+                    sources, targets = range(source.everything + 1), range(target.everything + 1)
+                    assert [f.image(m) for m in sources] == [oracle_image(f, m) for m in sources]
+                    assert [f.preimage(m) for m in targets] == [oracle_preimage(f, m)
+                                                                for m in targets]
+                    assert atom_unions(f.fibres) == oracle_preimage_unions(f)
+                    maps += 1
+        assert maps == 24872
+
+    def test_sampled_spaces_and_maps_of_eight_to_sixteen_points(self):
+        rng = random.Random(CORPUS_SEED)
+        spaces = [space for n in range(8, 17) for space in sampled_preorder_spaces(n, 3)]
+        for space in spaces:
+            for m in [rng.getrandbits(space.point_count) for _ in range(40)]:
+                assert space.closure(m) == oracle_closure(space, m), (space.min_nbhd, m)
+                assert space.interior(m) == oracle_interior(space, m), (space.min_nbhd, m)
+                if m:
+                    assert space.subspace(m) == oracle_subspace(space, m), (space.min_nbhd, m)
+            for target in rng.sample(spaces, 4):
+                f = SpaceMap(space, target, tuple(rng.randrange(target.point_count)
+                                                  for _ in range(space.point_count)))
+                for _ in range(20):
+                    m, t = rng.getrandbits(space.point_count), rng.getrandbits(target.point_count)
+                    assert f.image(m) == oracle_image(f, m), (f.assignment, m)
+                    assert f.preimage(t) == oracle_preimage(f, t), (f.assignment, t)
+
+    def test_dual_regions_equal_the_per_atom_scan(self):
+        built = 0
+        for s in structures_up_to(4):
+            try:
+                dual = s.dual
+            except StructureError:
+                continue  # no points: every cluster is the one at infinity
+            assert dual.regions == oracle_regions(dual), (s.contact.rows, s.ideal.generator)
+            built += 1
+        assert built == 984
+
+    def test_point_supports_equal_the_per_point_scan(self):
+        for space in self.SPACES:
+            assert point_embedding(space).sigma == oracle_sigma(space), space.min_nbhd
+
+
 # space and map predicates ----------------------------------------------------------
 
 
@@ -1372,6 +1540,7 @@ class TestSpacePredicates:
         for space in spaces:
             connected = space_predicates(space).connected
             assert connected == oracle_connected(space), space.min_nbhd
+            assert connected == (oracle_component(space) == space.everything), space.min_nbhd
             verdicts.add(connected)
         assert verdicts == {True, False}
 
@@ -1553,11 +1722,10 @@ class TestDenseSubspaceTables:
                 if space.closure(subset) != space.everything:
                     continue
                 iso = dense_subspace_isomorphism(space, subset)
-                big, small = rc_algebra(space).carrier, rc_algebra(iso.subspace).carrier
-                assert list(iso.restrict.items()) == [
-                    (f, oracle_restrict_set(space, subset, f)) for f in big]
-                assert list(iso.extend.items()) == [
-                    (g, space.closure(oracle_embed_set(space, subset, g))) for g in small]
+                restrict, extend = oracle_trace_tables(space, subset)
+                assert list(iso.restrict.items()) == list(restrict.items()), (space.min_nbhd,
+                                                                              subset)
+                assert list(iso.extend.items()) == list(extend.items()), (space.min_nbhd, subset)
                 pairs += 1
         assert pairs == 2271
 

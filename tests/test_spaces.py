@@ -86,6 +86,18 @@ class TestSpaceBasics:
             with pytest.raises(StructureError):
                 sierpinski.closure(flag)
 
+    def test_image_and_preimage_refuse_a_mask_beyond_their_space(self, sierpinski):
+        f = SpaceMap(discrete_space("abc"), sierpinski, (0, 1, 1))
+        assert (f.image(0b100), f.preimage(0b10)) == (0b10, 0b110)
+        for bad in (0b100, -1, True):
+            with pytest.raises(StructureError) as caught:
+                f.preimage(bad)
+            assert str(caught.value) == f"{bad!r} is not a point set of this space"
+        for bad in (0b1000, -1, True):
+            with pytest.raises(StructureError) as caught:
+                f.image(bad)
+            assert str(caught.value) == f"{bad!r} is not a point set of this space"
+
     def test_neighbourhoods_and_map_values_are_plain_ints(self, sierpinski):
         for bad in (True, 1.0):
             with pytest.raises(StructureError, match="neighbourhood mask"):
@@ -127,6 +139,14 @@ class TestRegularClosed:
         big = discrete_space(tuple(f"x{i}" for i in range(17)))
         with pytest.raises(CapExceeded):
             rc_algebra(big)
+
+    def test_regular_closed_sets_refuse_beyond_the_cap_before_the_closure_table(self):
+        big = discrete_space(tuple(f"x{i}" for i in range(17)))
+        for enumerate_sets in (regular_closed_sets, rc_algebra):
+            with pytest.raises(CapExceeded) as caught:
+                enumerate_sets(big)
+            assert str(caught.value) == "regular closed enumeration capped at 16 points"
+        assert "closure_table" not in big.__dict__
 
     def test_non_regular_set_rejected_by_to_element(self, sierpinski):
         rc = rc_algebra(sierpinski)
@@ -429,13 +449,15 @@ class TestSubspacesAndDensity:
         assert iso.certificate.violations == (Violation("extend-range"),)
 
     def test_mutually_inverse_tables_that_break_a_law(self, monkeypatch):
-        # both tables are traces followed by the involution swapping {a} and
-        # {a,b}: they pass the range and inverse checks, and the trace law walk
-        # names the least pair whose join it breaks
+        # both tables are the inclusion's preimages and images followed by the
+        # involution swapping {a} and {a,b}: they pass the range and inverse
+        # checks, and the trace law walk names the least pair whose join it breaks
         swap = {0b001: 0b011, 0b011: 0b001}
-        atom_join = spaces_module.atom_join
-        monkeypatch.setattr(spaces_module, "atom_join",
-                            lambda values, m: swap.get(atom_join(values, m), atom_join(values, m)))
+        for name in ("image", "preimage"):
+            def swapped(self, m, original=getattr(SpaceMap, name)):
+                value = original(self, m)
+                return swap.get(value, value)
+            monkeypatch.setattr(SpaceMap, name, swapped)
         iso = dense_subspace_isomorphism(discrete_space("abc"), 0b111)
         assert iso.certificate.violations == (Violation("join", (("a",), ("b",))),)
 
